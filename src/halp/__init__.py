@@ -7,32 +7,3 @@ so the distributed result is exactly the monolithic result.
 """
 
 __version__ = "0.1.0"
-
-from .tensor import Tensor
-from .layers import LayerKind, LayerSpec, LayerWeights, receptive_field
-from .models import ModelSpec, build_vgg16, build_mobilenet_v1
-from .planner import (
-    PartitionPlan,
-    build_plan_vgg,
-    build_plan_mobilenet,
-    optimize_plan,
-    overlap_recurrence,
-    validate_plan,
-)
-
-__all__ = [
-    "Tensor",
-    "LayerKind",
-    "LayerSpec",
-    "LayerWeights",
-    "ModelSpec",
-    "build_vgg16",
-    "build_mobilenet_v1",
-    "PartitionPlan",
-    "build_plan_vgg",
-    "build_plan_mobilenet",
-    "optimize_plan",
-    "overlap_recurrence",
-    "receptive_field",
-    "validate_plan",
-]

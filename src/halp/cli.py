@@ -75,6 +75,13 @@ def _build_model(args):
         raise _Failure(f"error: {exc}") from None
 
 
+def _check_rate(rate: float) -> None:
+    """A `--rate` must be a positive number of Mbps; `inf` is an unlimited
+    link, NaN is refused."""
+    if not rate > 0:
+        raise _Failure(f"error: throughput must be positive, got {rate} Mbps")
+
+
 def _calibration(args, model_name: str) -> tuple[TimingModel, ChannelModel | None]:
     """The timing and the optional `channel` block of `--calibration`, from
     one read of the file; the shipped timing and no channel without one."""
@@ -122,12 +129,9 @@ def _plan_for(args, model, rate: float | None = None, timing: TimingModel | None
 
 def cmd_plan(args) -> None:
     model = _build_model(args)
-    try:
-        plan = _plan_for(args, model, args.rate)
-    except PlanError:
-        raise  # `main` reports it
-    except ValueError as exc:  # --optimize at a rate that is not a positive number
-        raise _Failure(f"error: {exc}") from None
+    if args.optimize:
+        _check_rate(args.rate)
+    plan = _plan_for(args, model, args.rate)
     if args.json:
         print(plan_to_json(plan))
     else:
@@ -189,19 +193,15 @@ def cmd_simulate(args) -> None:
     # a throughput distribution may come from the calibration file; an explicit
     # --rate wins, and the default is the measured 42 Mbps average
     if args.rate is not None:
+        _check_rate(args.rate)
         planned = rate = args.rate
     elif channel is not None:
         planned = channel.lo_mbps  # what --optimize plans for; the run sees one draw
         rate = channel.draw(np.random.default_rng(args.seed))
     else:
         planned = rate = 42.0
-    try:
-        plan = _plan_for(args, model, planned, timing)
-        timeline = simulate(plan, model, timing, rate)
-    except PlanError:
-        raise  # `main` reports it, also for a schedule boundary-rows-first cannot run
-    except ValueError as exc:  # a rate that is not a positive number
-        raise _Failure(f"error: {exc}") from None
+    plan = _plan_for(args, model, planned, timing)
+    timeline = simulate(plan, model, timing, rate)
     t_alone = standalone_time(model, timing)
     makespan_ms = timeline.makespan * 1e3
     gain = t_alone / timeline.makespan

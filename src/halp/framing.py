@@ -121,10 +121,10 @@ def handshake_frame(doc: dict) -> Frame:
         layer=HANDSHAKE_LAYER,
         sender=0,
         row_start=0,
-        row_count=max(1, len(raw) // 4),
+        row_count=len(raw) // 4,
         width=1,
         channels=1,
-        payload=raw if raw else b"    ",
+        payload=raw,
     )
 
 

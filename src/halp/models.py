@@ -205,6 +205,9 @@ def get_model(name: str, alpha: float = 1.0, rho: int = 224, base_width: int = 0
               classes: int = 1000) -> ModelSpec:
     """Build a model by CLI-style name ("vgg16" or "mobilenet"); a
     `base_width` of 0 means the family's default."""
+    for option, value in (("base_width", base_width), ("classes", classes)):
+        if type(value) is not int:
+            raise ValueError(f"{option} must be an int, got {value!r}")
     if base_width < 0:
         raise ValueError(f"base_width must be >= 0 (0: the model's default), got {base_width}")
     if classes < 1:

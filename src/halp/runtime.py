@@ -88,7 +88,7 @@ def _run_head(model: ModelSpec, weights, x: Tensor) -> np.ndarray:
         if spec.kind is LayerKind.GLOBAL_AVG_POOL:
             x = global_avg_pool(x)
         elif spec.kind is LayerKind.FULLY_CONNECTED:
-            vec = fully_connected(x.flatten() if vec is None else vec, weights[i], spec.activation)
+            vec = fully_connected(x.data if vec is None else vec, weights[i], spec.activation)
         else:
             raise ValueError(f"unexpected head layer {spec.kind}")
     if vec is None:
@@ -415,6 +415,8 @@ def secondary_session(config: dict) -> Timeline:
                 classes=doc["classes"],
             )
             seed = doc["seed"]
+            if type(seed) is not int or seed < 0:
+                raise ValueError(f"seed must be an int >= 0, got {seed!r}")
             plan = plan_from_json(json.dumps(doc["plan"]))
             problems = validate_plan(plan, model)
         except (LookupError, TypeError, ValueError) as exc:

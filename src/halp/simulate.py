@@ -283,14 +283,14 @@ GAIN_WINDOW = (1.40, 1.90)
 _GAIN_FIT_TARGET = (1.41, 1.89)  # leave deterministic margin inside the window
 
 
-def _sim_gain(model, plan, rate, overhead_s, rate_mbps) -> tuple[float, float]:
+def _sim_gain(model, plan, rate, overhead_s) -> tuple[float, float]:
     timing = TimingModel(rate, overhead_s)
     t_standalone = standalone_time(model, timing)
-    makespan = simulate(plan, model, timing, rate_mbps).makespan
+    makespan = simulate(plan, model, timing, REFERENCE_RATE_MBPS).makespan
     return t_standalone / makespan, t_standalone
 
 
-def fit_mobilenet_timing(base_width: int = 32, rate_mbps: float = REFERENCE_RATE_MBPS):
+def fit_mobilenet_timing():
     """One overhead for the family, one effective rate per variant.
 
     Rates start pinned to the catalog's measured standalone times. The
@@ -307,14 +307,14 @@ def fit_mobilenet_timing(base_width: int = 32, rate_mbps: float = REFERENCE_RATE
     variants = []
     for alpha in MOBILENET_ALPHAS:
         for rho in MOBILENET_RHOS:
-            m = build_mobilenet_v1(alpha, rho, base_width)
+            m = build_mobilenet_v1(alpha, rho)
             variants.append((m, build_plan_mobilenet(m), standalone_ms[m.name]))
 
     lo_target, hi_target = _GAIN_FIT_TARGET
 
     def fit_variant(m, plan, t_ms, overhead_s):
         exact = rate_for_standalone(m, t_ms / 1e3, overhead_s)
-        gain, t_sim = _sim_gain(m, plan, exact, overhead_s, rate_mbps)
+        gain, t_sim = _sim_gain(m, plan, exact, overhead_s)
         if lo_target <= gain <= hi_target:
             return exact, gain, t_sim
         # gain rises as the device slows; bisect the rate scale toward the window
@@ -322,7 +322,7 @@ def fit_mobilenet_timing(base_width: int = 32, rate_mbps: float = REFERENCE_RATE
         lo_k, hi_k = 0.25, 4.0
         for _ in range(60):
             k = (lo_k * hi_k) ** 0.5
-            gain, t_sim = _sim_gain(m, plan, exact * k, overhead_s, rate_mbps)
+            gain, t_sim = _sim_gain(m, plan, exact * k, overhead_s)
             if gain > want:
                 lo_k = k  # slower than needed
             else:

@@ -22,21 +22,9 @@ class Tensor:
         object.__setattr__(self, "data", arr)
 
     @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def width(self) -> int:
         return self.data.shape[1]
 
     @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
-    @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
-
-    def flatten(self) -> np.ndarray:
-        """Row-major (H, W, C) flattening used by the classifier head."""
-        return self.data.reshape(-1)

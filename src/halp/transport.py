@@ -56,7 +56,7 @@ class InProcTransport:
     receives on it.
     """
 
-    def __init__(self, send_q: queue.Queue, recv_q: queue.Queue, rate_mbps: float | None = None):
+    def __init__(self, send_q: queue.Queue, recv_q: queue.Queue, rate_mbps: float | None):
         self._send_q = send_q
         self._recv_q = recv_q
         self._rate = rate_mbps
@@ -214,19 +214,18 @@ def connect(address: str, timeout: float = 30.0) -> SocketTransport:
 
 
 def listen_one(address: str, timeout: float = 30.0) -> SocketTransport:
-    """Accept a single inbound connection on host:port."""
+    """Accept a single inbound connection on host:port. An address that
+    cannot be bound raises `TransportError`; the listening socket is closed
+    on every path."""
     host, port = address.rsplit(":", 1)
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    server.bind((host, int(port)))
-    server.listen(1)
-    server.settimeout(timeout)
     try:
-        sock, _ = server.accept()
-    except socket.timeout:
+        with socket.create_server((host, int(port)), backlog=1) as server:
+            server.settimeout(timeout)
+            sock, _ = server.accept()
+    except socket.timeout:  # a TimeoutError, so before OSError
         raise TransportTimeout(f"no connection on {address} within {timeout} s") from None
-    finally:
-        server.close()
+    except OSError as exc:
+        raise TransportError(f"cannot listen on {address}: {exc}") from exc
     sock.settimeout(None)
     _no_delay(sock)
     return SocketTransport(sock)

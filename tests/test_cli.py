@@ -165,6 +165,23 @@ def test_infer_secondary_without_host_times_out(capsys, tmp_path):
     assert err.startswith("session failed: no connection on 127.0.0.1:7695")
 
 
+@pytest.mark.parametrize("in_use", [False, True], ids=["address_not_on_this_host", "port_in_use"])
+def test_infer_secondary_that_cannot_listen_exits_2(capsys, tmp_path, in_use):
+    """192.0.2.1 is a documentation address no interface holds; the port in
+    use is held by a listening socket of the test's own."""
+    import socket
+
+    config = tmp_path / "ed1.json"
+    with socket.create_server(("127.0.0.1", 0)) as holder:
+        address = f"127.0.0.1:{holder.getsockname()[1]}" if in_use else "192.0.2.1:7000"
+        config.write_text(json.dumps({"listen": address, "timeout_s": 0.3}))
+        code, out, err = run_cli(capsys, "infer", "--role", "ed1", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"session failed: cannot listen on {address}: ")
+
+
 def _ed1_given_handshake(capsys, tmp_path, port, doc):
     """Run `infer --role ed1` while a host thread sends it `doc` as the
     handshake; the CLI's exit code and stderr."""
@@ -512,8 +529,9 @@ def test_simulate_rejects_a_rate_that_is_not_positive(capsys, rate):
         assert len(err.splitlines()) == 1 and "throughput must be positive" in err
 
 
-def test_plan_optimize_rejects_a_rate_that_is_not_positive(capsys):
-    code, out, err = run_cli(capsys, "plan", "vgg16", "--optimize", "--rate", "0")
+@pytest.mark.parametrize("model, rate", [("vgg16", "0"), ("mobilenet", "0"), ("vgg16", "nan")])
+def test_plan_optimize_rejects_a_rate_that_is_not_positive(capsys, model, rate):
+    code, out, err = run_cli(capsys, "plan", model, "--optimize", "--rate", rate)
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1

@@ -82,7 +82,7 @@ def conv_spec(kh, kw, cin, cout, stride=1, pad=1, act=None):
 def whole(x, spec):
     """The input of a whole output map, gathered from one piece, the way
     `monolithic_infer` does."""
-    return gather_input([(0, x.data)], spec, (0, spec.out_height(x.height)), x.height)
+    return gather_input([(0, x.data)], spec, (0, spec.out_height(x.shape[0])), x.shape[0])
 
 
 def conv_full(x, spec, w):
@@ -98,7 +98,7 @@ def pool_spec(channels):
 
 
 def maxpool_full(x):
-    return maxpool2d_rows(whole(x, pool_spec(x.channels)))
+    return maxpool2d_rows(whole(x, pool_spec(x.shape[2])))
 
 
 def test_conv_zero_input_is_zero():

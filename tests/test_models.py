@@ -177,6 +177,14 @@ def test_get_model_rejects_negative_widths_and_class_counts(name, options):
         get_model(name, **options)
 
 
+@pytest.mark.parametrize("name", ["vgg16", "mobilenet"])
+@pytest.mark.parametrize("option", ["base_width", "classes"])
+@pytest.mark.parametrize("value", [8.5, 2.0, True])
+def test_get_model_takes_only_int_widths_and_class_counts(name, option, value):
+    with pytest.raises(ValueError, match=f"{option} must be an int, got {value!r}"):
+        get_model(name, **{option: value})
+
+
 def test_get_model_width_0_is_the_family_default():
     assert get_model("vgg16", base_width=0) == build_vgg16()
     assert get_model("mobilenet", 0.5, 160, base_width=0) == build_mobilenet_v1(0.5, 160)
