@@ -291,7 +291,8 @@ def _sim_gain(model, plan, rate, overhead_s) -> tuple[float, float]:
 
 
 def fit_mobilenet_timing():
-    """One overhead for the family, one effective rate per variant.
+    """One overhead for the family, one effective rate per variant, for the
+    builder's default widths at `REFERENCE_RATE_MBPS`.
 
     Rates start pinned to the catalog's measured standalone times. The
     fixed-overhead linear model cannot reproduce all twelve wall times *and*

@@ -665,9 +665,11 @@ def test_bad_catalog_or_node_config_exits_1_without_a_traceback(capsys, tmp_path
     {"ed2": "127.0.0.1:port"},
     {"seed": "3"},
     {"model": "vgg16", "base_width": 8, "plan_path": "FLOAT_ROWS_PLAN"},
+    {"classes": 2.5},
+    {"base_width": True},
 ], ids=["bad-alpha", "missing-plan", "malformed-plan", "infeasible-z1", "timeout-a-string",
         "timeout-zero", "ed1-without-port", "ed2-port-not-a-number", "seed-a-string",
-        "plan-with-float-rows"])
+        "plan-with-float-rows", "classes-a-float", "width-a-bool"])
 def test_host_config_the_session_cannot_use_exits_1_without_a_traceback(capsys, tmp_path,
                                                                         change):
     files = {"MISSING": tmp_path / "missing.json", "NOT_A_PLAN": tmp_path / "not_a_plan.json"}

@@ -580,9 +580,10 @@ def test_secondaries_draw_only_spatial_weights(monkeypatch):
         (7617, {"seed": 1.5}, "malformed handshake"),
         (7618, {"seed": -1}, "malformed handshake"),
         (7619, {"seed": True}, "malformed handshake"),
+        (7620, {"classes": 2.5}, "malformed handshake"),
     ],
     ids=["plan_for_another_model", "unknown_model", "plan_missing_keys", "negative_width",
-         "str_seed", "float_seed", "negative_seed", "bool_seed"],
+         "str_seed", "float_seed", "negative_seed", "bool_seed", "float_classes"],
 )
 def test_secondary_rejects_bad_handshake(monkeypatch, port, change, message):
     """A bad handshake fails both ends at once, before the secondary draws weights."""
