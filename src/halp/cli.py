@@ -113,7 +113,7 @@ def _plan_for(args, model, rate: float | None = None, timing: TimingModel | None
         try:
             with open(args.plan) as fh:
                 plan = plan_from_json(fh.read())
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, LookupError, TypeError, ValueError) as exc:
             raise _Failure(f"error: cannot read plan: {type(exc).__name__}: {exc}") from None
     elif getattr(args, "optimize", False):
         if timing is None:

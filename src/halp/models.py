@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .layers import LayerKind, LayerSpec, LayerWeights, SPATIAL_KINDS, make_layer_weights
+from .tensor import Tensor
 
 MOBILENET_ALPHAS = (1.0, 0.75, 0.5, 0.25)
 MOBILENET_RHOS = (224, 192, 160)
@@ -194,8 +195,6 @@ def make_weights(model: ModelSpec, seed: int, n_layers: int | None = None) -> li
 
 
 def make_input(model: ModelSpec, seed: int):
-    from .tensor import Tensor
-
     rng = np.random.default_rng(seed)
     h, w, c = model.input_shape
     return Tensor(rng.uniform(-0.5, 0.5, size=(h, w, c)).astype(np.float32))
@@ -205,9 +204,11 @@ def get_model(name: str, alpha: float = 1.0, rho: int = 224, base_width: int = 0
               classes: int = 1000) -> ModelSpec:
     """Build a model by CLI-style name ("vgg16" or "mobilenet"); a
     `base_width` of 0 means the family's default."""
-    for option, value in (("base_width", base_width), ("classes", classes)):
+    for option, value in (("base_width", base_width), ("classes", classes), ("rho", rho)):
         if type(value) is not int:
             raise ValueError(f"{option} must be an int, got {value!r}")
+    if type(alpha) not in (int, float):
+        raise ValueError(f"alpha must be a number, got {alpha!r}")
     if base_width < 0:
         raise ValueError(f"base_width must be >= 0 (0: the model's default), got {base_width}")
     if classes < 1:

@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import groupby
 
 from .layers import LayerKind, receptive_field
 from .models import ModelSpec
@@ -103,20 +104,10 @@ class PartitionPlan:
     parts: tuple[LayerPartition, ...]
     exchange_schedule: tuple[ExchangeStep, ...]
 
-    def steps_before(self, layer: int) -> list[ExchangeStep]:
-        return list(self._steps_by_layer.get(layer, ()))
-
-    @cached_property
-    def _steps_by_layer(self) -> dict[int, list[ExchangeStep]]:
-        # built once per plan; not a dataclass field, so equality and JSON ignore it
-        by_layer: dict[int, list[ExchangeStep]] = {}
-        for step in self.exchange_schedule:
-            by_layer.setdefault(step.before_layer, []).append(step)
-        return by_layer
-
     @cached_property
     def compiled(self) -> dict[Role, tuple[tuple[Op, ...], ...]]:
-        # built once per plan, like _steps_by_layer: the simulator runs one plan many times
+        # built once per plan, and not a dataclass field, so equality and JSON
+        # ignore it: the simulator runs one plan many times
         return compile_schedule(self)
 
     @property
@@ -151,21 +142,23 @@ def compile_schedule(plan: PartitionPlan) -> dict[Role, tuple[tuple[Op, ...], ..
     A stage receives the rows its layer needs from peers, computes the
     role's owned rows and sends the rows peers need of them. Each `Send`
     and `Recv` names its directed link; every role's sends and receives
-    filter the same `steps_before` lists, so on each link the receiver
-    takes frames in the order the sender sends them. The runtime and the
-    simulator both interpret these lists. Raises `PlanError` for a
+    filter the same per-layer lists of the schedule, so on each link the
+    receiver takes frames in the order the sender sends them. The runtime
+    and the simulator both interpret these lists. Raises `PlanError` for a
     schedule that boundary-rows-first cannot run, or that needs a link
     between the two secondaries.
     """
+    by_layer: dict[int, list[ExchangeStep]] = {}
     for step in plan.exchange_schedule:
         if Role.HOST not in (step.sender, step.receiver):
             raise PlanError(f"{_describe(step)} needs a secondary-to-secondary link")
+        by_layer.setdefault(step.before_layer, []).append(step)
 
     def sends(role: Role, layer: int) -> list[Send]:
-        return [Send(s, _link(s)) for s in plan.steps_before(layer) if s.sender is role]
+        return [Send(s, _link(s)) for s in by_layer.get(layer, ()) if s.sender is role]
 
     def recvs(role: Role, layer: int) -> list[Recv]:
-        return [Recv(s, _link(s)) for s in plan.steps_before(layer) if s.receiver is role]
+        return [Recv(s, _link(s)) for s in by_layer.get(layer, ()) if s.receiver is role]
 
     compiled = {}
     for role in ROLES:
@@ -206,17 +199,6 @@ def _compute_and_send(role: Role, layer: int, owned: Range, sends: list[Send]) -
     return [Compute(layer, (lo, hi)), *sends, Compute(layer, rest)]
 
 
-def _subtract(need: Range, have: Range) -> list[Range]:
-    """Row ranges in `need` but not in `have`."""
-    (nlo, nhi), (hlo, hhi) = need, have
-    out = []
-    if nlo < min(hlo, nhi):
-        out.append((nlo, min(hlo, nhi)))
-    if max(hhi, nlo) < nhi:
-        out.append((max(hhi, nlo), nhi))
-    return out
-
-
 def _intersect(x: Range, y: Range) -> Range | None:
     lo, hi = max(x[0], y[0]), min(x[1], y[1])
     return (lo, hi) if hi > lo else None
@@ -236,14 +218,12 @@ def _derive_schedule(model: ModelSpec, parts: list[LayerPartition]) -> list[Exch
             needs, channels = parts[layer].in_ranges, specs[layer].in_channels
         else:
             needs, channels = {Role.HOST: (0, heights[n])}, specs[n - 1].out_channels
+        # owners' ranges are disjoint: need ∩ owned is one step per link and layer
         for dev, need in needs.items():
-            for missing in _subtract(need, held.get(dev, (0, 0))):  # (0, 0): no rows
-                for owner, owned in held.items():
-                    part = None if owner is dev else _intersect(missing, owned)
-                    if part is not None:
-                        steps.append(
-                            ExchangeStep(layer, owner, dev, *part, widths[layer], channels)
-                        )
+            for owner, owned in held.items():
+                part = None if owner is dev else _intersect(need, owned)
+                if part is not None:
+                    steps.append(ExchangeStep(layer, owner, dev, *part, widths[layer], channels))
     order = {Role.ED1: 0, Role.ED2: 1, Role.HOST: 2}
     steps.sort(key=lambda s: (s.before_layer, order[s.sender], order[s.receiver], s.row_start))
     return steps
@@ -320,8 +300,6 @@ def build_plan_vgg(model: ModelSpec, z1: int = 4) -> PartitionPlan:
         h = heights[block[0]]
         c = h // 2
         a, b = c - (z - 2) // 2, c + (z - 2) // 2
-        if a < 1 or b > h - 1:
-            raise PlanError(f"z={z} at block {bi + 1} leaves no rows for a secondary")
         for li in block:
             if specs[li].kind is LayerKind.MAX_POOL:
                 bands[li] = (a // 2, (b + 1) // 2)
@@ -340,6 +318,8 @@ def build_plan_mobilenet(model: ModelSpec) -> PartitionPlan:
 
     bands: list[Range] = []
     host_rows: list[int] = []
+    last_s2 = max((i for i, s in enumerate(specs)
+                   if s.kind is LayerKind.DEPTHWISE_CONV and s.stride == 2), default=-1)
     m = heights[0] // 2  # image half boundary
     a, b = m // 2 - 1, m // 2 + 1  # stem band: 2 rows, 5-row zone leaning to ED1
     bands.append((a, b))
@@ -350,10 +330,7 @@ def build_plan_mobilenet(model: ModelSpec) -> PartitionPlan:
             host_rows.append(4)
         elif spec.kind is LayerKind.DEPTHWISE_CONV and spec.stride == 1:
             if b - a == 2:
-                downstream_s2 = any(
-                    s.kind is LayerKind.DEPTHWISE_CONV and s.stride == 2
-                    for s in specs[i + 1 :]
-                )
+                downstream_s2 = i < last_s2
                 if downstream_s2:
                     na = a - 1 if a % 2 else a - 2  # even start for the next stride-2 zone
                 else:
@@ -530,7 +507,7 @@ def _range(pair, field: str) -> Range:
 
 
 def plan_from_json(text: str) -> PartitionPlan:
-    """The plan `plan_to_json` wrote; raises `ValueError` (or `KeyError`,
+    """The plan `plan_to_json` wrote; raises `ValueError` (or `LookupError`,
     `TypeError`) for a document that is not one, also for a float or bool
     where a number belongs."""
     doc = json.loads(text)
@@ -589,14 +566,9 @@ def render_mobilenet_table(plan: PartitionPlan, model: ModelSpec) -> str:
             continue
         rows.append((label, part.host_rows, part.out_height))
     lines = [f"{'Layers':<16}{'Host':>6}{'ED1':>6}{'ED2':>6}"]
-    i = 0
-    while i < len(rows):
-        j = i
-        while j < len(rows) and rows[j] == rows[i]:
-            j += 1
-        label, host, h = rows[i]
-        if j - i > 1:
-            label = f"{label} x{j - i}"
+    for (label, host, h), run in groupby(rows):
+        count = len(list(run))
+        if count > 1:
+            label = f"{label} x{count}"
         lines.append(f"{label:<16}{host:>6}{h:>6}{h:>6}")
-        i = j
     return "\n".join(lines) + "\n"

@@ -105,7 +105,6 @@ class _Node:
         self.role = role
         self.model = model
         self.weights = weights
-        self.plan = plan
         self.transports = transports  # peer role -> transport
         self.timeout = timeout
         self.trace = trace or Timeline()
@@ -212,7 +211,8 @@ def run_host(
     node = _Node(Role.HOST, model, weights, plan, transports, timeout, trace)
     pieces = node.run(x)
     n = plan.n_spatial
-    height = node._heights[n]
+    _, heights, _ = model.spatial_geometry
+    height = heights[n]
     merged = gather_input(pieces, model.layers[n], (0, height), height)  # the whole final map
     return _run_head(model, weights, Tensor(merged))
 

@@ -65,6 +65,12 @@ class CatalogEntry:
     top1_accuracy: float
 
     def __post_init__(self):
+        for attr in ("t_standalone_ms", "t_halp_ms", "top1_accuracy"):
+            value = getattr(self, attr)
+            if type(value) not in (int, float):  # bools and strings too
+                raise ValueError(f"{self.name}: {attr} must be a number, got {value!r}")
+        if not (self.t_standalone_ms > 0 and self.t_halp_ms > 0):  # NaN fails too
+            raise ValueError(f"{self.name}: latencies must be > 0")
         if self.t_halp_ms > self.t_standalone_ms:
             raise ValueError(f"{self.name}: distributed time exceeds stand-alone time")
         if not 0.0 <= self.top1_accuracy <= 1.0:

@@ -44,8 +44,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .layers import LayerSpec
-from .models import ModelSpec, layer_macs
-from .planner import PartitionPlan, Recv, ROLES, Send
+from .models import MOBILENET_ALPHAS, MOBILENET_RHOS, ModelSpec, build_mobilenet_v1, layer_macs
+from .planner import PartitionPlan, Recv, ROLES, Send, build_plan_mobilenet, build_plan_vgg
+from .selector import load_catalog
 
 
 @dataclass(frozen=True)
@@ -259,8 +260,6 @@ def fit_vgg_timing(model: ModelSpec, rate_mbps: float = REFERENCE_RATE_MBPS):
     The whole grid is one array timing, so pricing it takes one `simulate`
     call per entry zone.
     """
-    from .planner import build_plan_vgg
-
     overheads = np.arange(0.5, 180.0, 0.5) / 1e3
     rates = rate_for_standalone(model, VGG_STANDALONE_MS / 1e3, overheads)
     grid = TimingModel(rates, overheads)
@@ -300,10 +299,6 @@ def fit_mobilenet_timing():
     would leave the bracket the variant's rate is adjusted just far enough
     (the gain is monotone in the rate) and the standalone residual is
     reported."""
-    from .models import build_mobilenet_v1, MOBILENET_ALPHAS, MOBILENET_RHOS
-    from .planner import build_plan_mobilenet
-    from .selector import load_catalog
-
     standalone_ms = {entry.name: entry.t_standalone_ms for entry in load_catalog()}
     variants = []
     for alpha in MOBILENET_ALPHAS:

@@ -9,7 +9,8 @@ import pytest
 from halp.cli import main
 from halp.models import build_vgg16
 from halp.planner import Role
-from test_planner import float_rows_plan_doc
+from test_planner import float_rows_plan_doc, secondary_to_secondary_plan
+from tests_property_helpers import steps_before
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -351,7 +352,7 @@ def _truncated_first_frame():
     plan = build_plan(build_vgg16(8, 5), 4)
     doc = {"protocol": PROTOCOL_VERSION, "model": "vgg16", "alpha": 1.0, "rho": 224,
            "base_width": 8, "classes": 5, "seed": 0, "plan": json.loads(plan_to_json(plan))}
-    step = next(s for s in plan.steps_before(0) if s.receiver is Role.ED1)
+    step = next(s for s in steps_before(plan, 0) if s.receiver is Role.ED1)
     rows = np.zeros((step.rows, step.width, step.channels), dtype=np.float32)
     frame = serialize_frame(Frame.from_rows(0, 0, step.row_start, rows))
     return serialize_frame(handshake_frame(doc)) + frame[: HEADER.size + len(rows.data) // 2]
@@ -594,6 +595,9 @@ def test_reliability_unlimited_deadline_is_legal(capsys):
     ["simulate", "vgg16", "--calibration", "INF_OVERHEAD"],
     ["simulate", "vgg16", "--calibration", "NAN_OVERHEAD"],
     ["plan", "vgg16", "--optimize", "--calibration", "NAN_RATE"],
+    ["simulate", "vgg16", "--base-width", "8", "--classes", "10", "--plan", "SHORT_ROWS_PLAN"],
+    ["infer", "vgg16", "--base-width", "8", "--classes", "10", "--plan", "SHORT_ROWS_PLAN",
+     "--verify"],
 ], ids=["plan-alpha", "plan-rho", "simulate-rho", "infer-local-rho", "simulate-no-calibration",
         "optimize-no-calibration", "simulate-calibration-without-keys", "simulate-no-plan",
         "simulate-plan-without-keys", "simulate-vgg-negative-width", "simulate-vgg-no-classes",
@@ -601,9 +605,13 @@ def test_reliability_unlimited_deadline_is_legal(capsys):
         "simulate-channel-without-lo", "simulate-channel-not-an-object",
         "simulate-channel-lo-not-a-number", "simulate-channel-lo-above-hi",
         "simulate-nan-rate", "simulate-inf-overhead", "simulate-nan-overhead",
-        "optimize-nan-rate"])
+        "optimize-nan-rate", "simulate-plan-with-short-rows", "infer-plan-with-short-rows"])
 def test_bad_model_option_or_input_file_exits_1_without_a_traceback(capsys, tmp_path, argv):
+    from halp.planner import build_plan_vgg, plan_to_json
+
     timing = '"mac_rate": 4.69e9, "overhead_s": 0.0765'
+    short_rows = json.loads(plan_to_json(build_plan_vgg(build_vgg16(8, 10), 4)))
+    short_rows["exchange_schedule"][0]["rows"] = [1]
     contents = {
         "EMPTY_OBJECT": "{}",
         "CHANNEL_WITHOUT_LO": f'{{{timing}, "channel": {{"hi_mbps": 52}}}}',
@@ -613,6 +621,7 @@ def test_bad_model_option_or_input_file_exits_1_without_a_traceback(capsys, tmp_
         "NAN_RATE": '{"mac_rate": NaN, "overhead_s": 0.001}',
         "INF_OVERHEAD": '{"mac_rate": 4.69e9, "overhead_s": Infinity}',
         "NAN_OVERHEAD": '{"mac_rate": 4.69e9, "overhead_s": NaN}',
+        "SHORT_ROWS_PLAN": json.dumps(short_rows),
     }
     files = {"MISSING": str(tmp_path / "missing.json")}
     for name, text in contents.items():
@@ -622,6 +631,13 @@ def test_bad_model_option_or_input_file_exits_1_without_a_traceback(capsys, tmp_
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _catalog(t_standalone_ms, t_halp_ms, top1_accuracy):
+    """A one-entry catalog document; each value is given as JSON text."""
+    return (f'{{"entries": [{{"name": "x", "alpha": 1.0, "rho": 224, '
+            f'"t_standalone_ms": {t_standalone_ms}, "t_halp_ms": {t_halp_ms}, '
+            f'"top1_accuracy": {top1_accuracy}}}]}}')
 
 
 @pytest.mark.parametrize("argv, text, message", [
@@ -639,11 +655,16 @@ def test_bad_model_option_or_input_file_exits_1_without_a_traceback(capsys, tmp_
      '{"listen": "127.0.0.1:7698", "timeout_s": "1"}', "cannot read config: "),
     (["infer", "--role", "host", "--config", "FILE"], None, "cannot read config: "),
     (["infer", "--role", "ed1", "--config", "FILE"], '{"listen": ', "cannot read config: "),
+    (["reliability", "--catalog", "FILE"], _catalog('"500"', '"300"', 0.7),
+     "cannot load catalog: "),
+    (["reliability", "--catalog", "FILE"], _catalog(500, "true", "true"),
+     "cannot load catalog: "),
+    (["reliability", "--catalog", "FILE"], _catalog(500, "NaN", 0.7), "cannot load catalog: "),
 ], ids=["catalog-entry-without-fields", "catalog-without-entries", "catalog-not-an-object",
         "host-config-without-model", "secondary-config-without-listen",
         "secondary-config-not-an-object", "role-without-config",
         "secondary-listen-without-port", "secondary-timeout-a-string", "config-missing",
-        "config-not-json"])
+        "config-not-json", "catalog-latencies-strings", "catalog-bools", "catalog-nan-latency"])
 def test_bad_catalog_or_node_config_exits_1_without_a_traceback(capsys, tmp_path, argv, text,
                                                                  message):
     path = tmp_path / "input.json"
@@ -667,9 +688,12 @@ def test_bad_catalog_or_node_config_exits_1_without_a_traceback(capsys, tmp_path
     {"model": "vgg16", "base_width": 8, "plan_path": "FLOAT_ROWS_PLAN"},
     {"classes": 2.5},
     {"base_width": True},
+    {"rho": 224.0},
+    {"alpha": True},
 ], ids=["bad-alpha", "missing-plan", "malformed-plan", "infeasible-z1", "timeout-a-string",
         "timeout-zero", "ed1-without-port", "ed2-port-not-a-number", "seed-a-string",
-        "plan-with-float-rows", "classes-a-float", "width-a-bool"])
+        "plan-with-float-rows", "classes-a-float", "width-a-bool", "rho-a-float",
+        "alpha-a-bool"])
 def test_host_config_the_session_cannot_use_exits_1_without_a_traceback(capsys, tmp_path,
                                                                         change):
     files = {"MISSING": tmp_path / "missing.json", "NOT_A_PLAN": tmp_path / "not_a_plan.json"}
@@ -728,14 +752,10 @@ def test_a_plan_that_needs_a_secondary_to_secondary_link_runs_nowhere(capsys, tm
     moves rows from ED1 to ED2 and back. It validates, but no node has that
     link: compiling it, simulating it and running it in process all refuse
     it and name the step."""
-    from halp.planner import (
-        PlanError, _make_plan, build_plan_vgg, compile_schedule, plan_to_json, validate_plan)
+    from halp.planner import PlanError, compile_schedule, plan_to_json, validate_plan
 
     model = build_vgg16(8, 10)
-    base = build_plan_vgg(model, 4)
-    bands = [part.out_ranges[Role.HOST] for part in base.parts]
-    bands[1] = (2, 4)
-    plan = _make_plan(model, 4, bands, [part.host_rows for part in base.parts])
+    plan = secondary_to_secondary_plan(model)
     assert validate_plan(plan, model) == []
     step = "step before layer 1: ed1 -> ed2 rows [3, 111)"
     with pytest.raises(PlanError, match=re.escape(step)):

@@ -178,11 +178,18 @@ def test_get_model_rejects_negative_widths_and_class_counts(name, options):
 
 
 @pytest.mark.parametrize("name", ["vgg16", "mobilenet"])
-@pytest.mark.parametrize("option", ["base_width", "classes"])
+@pytest.mark.parametrize("option", ["base_width", "classes", "rho"])
 @pytest.mark.parametrize("value", [8.5, 2.0, True])
 def test_get_model_takes_only_int_widths_and_class_counts(name, option, value):
     with pytest.raises(ValueError, match=f"{option} must be an int, got {value!r}"):
         get_model(name, **{option: value})
+
+
+@pytest.mark.parametrize("name", ["vgg16", "mobilenet"])
+def test_get_model_takes_an_int_or_float_alpha_but_no_bool(name):
+    with pytest.raises(ValueError, match="alpha must be a number, got True"):
+        get_model(name, True)
+    assert get_model(name, 1, 160) == get_model(name, 1.0, 160)
 
 
 def test_get_model_width_0_is_the_family_default():

@@ -19,6 +19,7 @@ from halp.planner import (
     Recv,
     Role,
     Send,
+    _make_plan,
     build_plan_mobilenet,
     build_plan_vgg,
     compile_schedule,
@@ -29,6 +30,7 @@ from halp.planner import (
     receptive_field,
     validate_plan,
 )
+from tests_property_helpers import steps_before
 
 
 def spec3x3(stride, pad=1):
@@ -136,7 +138,7 @@ def test_vgg_exchange_pattern_per_conv_layer():
     """Interior conv layers exchange exactly four single boundary rows."""
     plan = build_plan_vgg(VGG, 4)
     # layer 1 is the second conv of block 1
-    steps = plan.steps_before(1)
+    steps = steps_before(plan, 1)
     by_pair = {(s.sender, s.receiver): s for s in steps}
     assert len(steps) == 4
     assert by_pair[(Role.ED1, Role.HOST)].rows == 1
@@ -156,13 +158,13 @@ def test_vgg_pool_needs_no_host_sends():
     pool_layers = [p.index for p in plan.parts
                    if VGG.layers[p.index].kind is LayerKind.MAX_POOL]
     for li in pool_layers:
-        for step in plan.steps_before(li):
+        for step in steps_before(plan, li):
             assert step.receiver is Role.HOST, (li, step)
 
 
 def test_vgg_initial_segments_are_halves():
     plan = build_plan_vgg(VGG, 4)
-    first = plan.steps_before(0)
+    first = steps_before(plan, 0)
     seg = {s.receiver: s for s in first}
     assert seg[Role.ED1].rows == 112 and seg[Role.ED1].row_start == 0
     assert seg[Role.ED2].rows == 112 and seg[Role.ED2].row_end == 224
@@ -184,7 +186,7 @@ def test_mobilenet_stride2_single_ed1_row():
     plan = build_plan_mobilenet(MN)
     for i, spec in enumerate(MN.layers[: MN.n_spatial]):
         if spec.kind is LayerKind.DEPTHWISE_CONV and spec.stride == 2:
-            eds_to_host = [s for s in plan.steps_before(i) if s.receiver is Role.HOST]
+            eds_to_host = [s for s in steps_before(plan, i) if s.receiver is Role.HOST]
             assert len(eds_to_host) == 1
             assert eds_to_host[0].sender is Role.ED1
             assert eds_to_host[0].rows == 1
@@ -197,7 +199,7 @@ def test_mobilenet_pointwise_layers_need_no_exchange():
     plan = build_plan_mobilenet(MN)
     for i, spec in enumerate(MN.layers[: MN.n_spatial]):
         if spec.kind is LayerKind.POINTWISE_CONV:
-            assert plan.steps_before(i) == []
+            assert steps_before(plan, i) == []
 
 
 @pytest.mark.parametrize("alpha", MOBILENET_ALPHAS)
@@ -249,7 +251,7 @@ def test_validator_catches_overlapping_ownership():
 
 def test_validator_catches_a_step_listed_twice():
     plan = build_plan_vgg(VGG, 4)
-    step = plan.steps_before(1)[0]
+    step = steps_before(plan, 1)[0]
     doubled = plan.__class__(
         plan.model_name, plan.z1, plan.parts, plan.exchange_schedule + (step,)
     )
@@ -269,20 +271,6 @@ def test_plan_json_roundtrip():
     assert back == plan
     mplan = build_plan_mobilenet(MN)
     assert plan_from_json(plan_to_json(mplan)) == mplan
-
-
-def test_steps_before_equals_a_schedule_scan():
-    """The per-layer index is built once and leaves equality and JSON alone."""
-    for plan in (build_plan_vgg(VGG, 4), build_plan_vgg(VGG, 68), build_plan_mobilenet(MN)):
-        text = plan_to_json(plan)
-        for layer in range(plan.n_spatial + 2):
-            want = [s for s in plan.exchange_schedule if s.before_layer == layer]
-            got = plan.steps_before(layer)
-            assert got == want
-            got.clear()  # a caller's copy; the index is unchanged
-            assert plan.steps_before(layer) == want
-        assert plan_to_json(plan) == text
-        assert plan_from_json(text) == plan
 
 
 def test_optimize_mobilenet_returns_stride_plan():
@@ -396,7 +384,7 @@ def _with_step(plan, old, new):
 def ed1_boundary_step(plan):
     """ED1's only step to the host before some layer, with ED1's owned rows."""
     for layer in range(1, plan.n_spatial):
-        mine = [s for s in plan.steps_before(layer) if s.sender is Role.ED1]
+        mine = [s for s in steps_before(plan, layer) if s.sender is Role.ED1]
         owned = plan.parts[layer - 1].out_ranges[Role.ED1]
         if len(mine) == 1 and owned[1] - owned[0] >= 4:
             return mine[0], owned
@@ -583,3 +571,80 @@ def test_a_plan_with_float_rows_is_rejected_before_it_can_validate():
 
     with pytest.raises(ValueError, match=r"rows must be an int, got 0\.0"):
         plan_from_json(json.dumps(float_rows_plan_doc()))
+
+
+# --- the schedule against a row-by-row oracle --------------------------------
+
+
+def oracle_schedule(plan, model):
+    """Every exchange step of `plan`, found row by row: each input row is
+    labelled with its owner (the host before layer 0, else the owner of
+    that row in the previous layer's `out_ranges`), and each run of
+    consecutive rows a device needs from one other owner is one step."""
+    import itertools
+
+    specs, heights, widths = model.spatial_geometry
+    n = len(specs)
+    steps = []
+    for layer in range(n + 1):
+        owner_of = [Role.HOST] * heights[0]
+        if layer:
+            owner_of = [None] * heights[layer]
+            for dev, (lo, hi) in plan.parts[layer - 1].out_ranges.items():
+                owner_of[lo:hi] = [dev] * (hi - lo)
+        if layer < n:
+            needs, channels = plan.parts[layer].in_ranges, specs[layer].in_channels
+        else:
+            needs, channels = {Role.HOST: (0, heights[n])}, specs[n - 1].out_channels
+        for dev, (lo, hi) in needs.items():
+            row = lo
+            for owner, run in itertools.groupby(owner_of[lo:hi]):
+                count = len(list(run))
+                if owner is not dev:
+                    steps.append(ExchangeStep(layer, owner, dev, row, row + count,
+                                              widths[layer], channels))
+                row += count
+    order = {Role.ED1: 0, Role.ED2: 1, Role.HOST: 2}
+    return sorted(steps, key=lambda s: (s.before_layer, order[s.sender], order[s.receiver],
+                                        s.row_start))
+
+
+def secondary_to_secondary_plan(model):
+    """The plan that ownership implies for a host band of [2, 4) at layer 1:
+    ED1 sends rows to ED2 and back."""
+    base = build_plan_vgg(model, 4)
+    bands = [part.out_ranges[Role.HOST] for part in base.parts]
+    bands[1] = (2, 4)
+    return _make_plan(model, 4, bands, [part.host_rows for part in base.parts])
+
+
+def _random_tilings(model, seed, count=20):
+    """`count` plans of `model` whose host band at each layer is drawn at random."""
+    import random
+
+    rng = random.Random(seed)
+    specs, heights, _ = model.spatial_geometry
+    for _ in range(count):
+        bands = []
+        for h in heights[1:]:
+            a = rng.randrange(1, h - 1)
+            bands.append((a, rng.randrange(a + 1, h)))
+        yield _make_plan(model, 0, bands, [0] * len(specs))
+
+
+SMALL_VGG, SMALL_MN = build_vgg16(8, 10), build_mobilenet_v1(0.25, 160, 8, 10)
+ORACLE_CASES = {
+    **{name: (plan, MODELS[plan.model_name]) for name, plan in CATALOG_PLANS.items()},
+    "secondary_to_secondary": (secondary_to_secondary_plan(SMALL_VGG), SMALL_VGG),
+    **{f"random_{model.name}_{i}": (plan, model)
+       for model in (SMALL_VGG, SMALL_MN)
+       for i, plan in enumerate(_random_tilings(model, seed=20))},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_schedule_equals_the_row_by_row_oracle(case):
+    """`validate_plan` rebuilds plans with the same derivation, so only an
+    independent oracle can see a change in it."""
+    plan, model = ORACLE_CASES[case]
+    assert list(plan.exchange_schedule) == oracle_schedule(plan, model)

@@ -32,6 +32,7 @@ from halp.runtime import (
 )
 from halp.simulate import TimingModel, simulate
 from halp.transport import inproc_pair
+from tests_property_helpers import steps_before
 
 
 def rel_err(a, b):
@@ -263,7 +264,7 @@ def test_priority_rule_boundary_rows_sent_before_rest():
     for role in (Role.ED1, Role.ED2):
         seq = logs[role].sequence()
         for layer in range(1, plan.n_spatial):
-            host_steps = [s for s in plan.steps_before(layer)
+            host_steps = [s for s in steps_before(plan, layer)
                           if s.sender is role and s.receiver is Role.HOST]
             if not host_steps:
                 continue
@@ -272,7 +273,7 @@ def test_priority_rule_boundary_rows_sent_before_rest():
             # computing of layer-(L-1) rest finishes after the boundary send
             own = plan.parts[layer - 1].out_ranges[role]
             total = own[1] - own[0]
-            boundary = sum(s.rows for s in plan.steps_before(layer) if s.sender is role)
+            boundary = sum(s.rows for s in steps_before(plan, layer) if s.sender is role)
             rest_end = [i for i, ev in enumerate(seq)
                         if ev[1] == "compute_end" and ev[2] == layer - 1
                         and ev[3] == total - boundary]

@@ -17,6 +17,11 @@ from test_layers import (
 )
 
 
+def steps_before(plan, layer):
+    """The plan's exchange steps into the input map of `layer`, in schedule order."""
+    return [s for s in plan.exchange_schedule if s.before_layer == layer]
+
+
 def kernels_match_oracles(cases_per_kernel=100, rtol=1e-6):
     rng = np.random.default_rng(777)
     for _ in range(cases_per_kernel):
