@@ -1,19 +1,21 @@
 """Command-line entry point: partition tables, inference, schedule
 simulation, and the reliability sweep.
 
-Exit codes: 0 success, 1 usage error, 2 runtime/transport error,
-3 verification failure.
+Exit codes: 0 success, 1 usage error, 2 runtime/transport error (also a
+closed stdout), 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
 
 from . import models as model_lib
+from .fields import NUMBER, Fields
 from .planner import (
     PlanError,
     build_plan,
@@ -71,7 +73,7 @@ def _build_model(args):
             args.model, alpha=args.alpha, rho=args.rho,
             base_width=args.base_width, classes=args.classes,
         )
-    except ValueError as exc:  # no such MobileNet variant, or a width or class count < 1
+    except ValueError as exc:  # no such MobileNet variant, or an option of another kind or range
         raise _Failure(f"error: {exc}") from None
 
 
@@ -89,19 +91,14 @@ def _calibration(args, model_name: str) -> tuple[TimingModel, ChannelModel | Non
         return default_timing(model_name), None
     try:
         with open(args.calibration) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+            doc = Fields(json.load(fh))
+        timing = TimingModel(doc.get("mac_rate", NUMBER), doc.get("overhead_s", NUMBER))
+        channel = doc.object("channel", None)
+        if channel is not None:
+            lo, hi = channel.get("lo_mbps", NUMBER), channel.get("hi_mbps", NUMBER, None)
+            channel = ChannelModel(lo, hi)
+    except (OSError, ValueError) as exc:  # also not JSON, or a field of another kind or range
         raise _Failure(f"error: cannot read calibration: {exc}") from None
-    try:
-        timing = TimingModel(doc["mac_rate"], doc["overhead_s"])
-        channel = None
-        if "channel" in doc:
-            channel = ChannelModel(doc["channel"]["lo_mbps"], doc["channel"].get("hi_mbps"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _Failure(
-            f"error: calibration needs a positive mac_rate, a finite non-negative overhead_s and,"
-            f" if it has a channel, a positive lo_mbps: {type(exc).__name__}: {exc}"
-        ) from None
     return timing, channel
 
 
@@ -113,7 +110,7 @@ def _plan_for(args, model, rate: float | None = None, timing: TimingModel | None
         try:
             with open(args.plan) as fh:
                 plan = plan_from_json(fh.read())
-        except (OSError, LookupError, TypeError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             raise _Failure(f"error: cannot read plan: {type(exc).__name__}: {exc}") from None
     elif getattr(args, "optimize", False):
         if timing is None:
@@ -219,7 +216,7 @@ def cmd_simulate(args) -> None:
 def cmd_reliability(args) -> None:
     try:
         catalog = load_catalog(args.catalog)
-    except (OSError, KeyError, TypeError, ValueError) as exc:  # also not JSON, or not a catalog
+    except (OSError, ValueError) as exc:  # also not JSON, or not a catalog
         raise _Failure(f"cannot load catalog: {type(exc).__name__}: {exc}") from None
     channels = list(ChannelState) if args.channel == "all" else [ChannelState[args.channel.upper()]]
     modes = list(Mode) if args.mode == "both" else [Mode(args.mode)]
@@ -309,6 +306,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
         return EXIT_OK
     except _Failure as exc:
         message, code = str(exc), exc.code
@@ -318,6 +316,10 @@ def main(argv=None) -> int:
         message, code = f"cannot read config: {exc}", EXIT_USAGE
     except (SessionError, TransportError) as exc:
         message, code = f"session failed: {exc}", EXIT_RUNTIME
+    except BrokenPipeError:  # the reader of stdout left, as `| head` does: no message
+        if sys.stdout is sys.__stdout__:  # not a test's capture: exit's own flush must not fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_RUNTIME
     print(message, file=sys.stderr)
     return code
 

@@ -13,6 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .fields import COUNT, INT, NUMBER, POSITIVE_INT, check
 from .layers import LayerKind, LayerSpec, LayerWeights, SPATIAL_KINDS, make_layer_weights
 from .tensor import Tensor
 
@@ -204,15 +205,10 @@ def get_model(name: str, alpha: float = 1.0, rho: int = 224, base_width: int = 0
               classes: int = 1000) -> ModelSpec:
     """Build a model by CLI-style name ("vgg16" or "mobilenet"); a
     `base_width` of 0 means the family's default."""
-    for option, value in (("base_width", base_width), ("classes", classes), ("rho", rho)):
-        if type(value) is not int:
-            raise ValueError(f"{option} must be an int, got {value!r}")
-    if type(alpha) not in (int, float):
-        raise ValueError(f"alpha must be a number, got {alpha!r}")
-    if base_width < 0:
-        raise ValueError(f"base_width must be >= 0 (0: the model's default), got {base_width}")
-    if classes < 1:
-        raise ValueError(f"classes must be >= 1, got {classes}")
+    check(alpha, NUMBER, "alpha")
+    check(rho, INT, "rho")
+    check(base_width, COUNT, "base_width")
+    check(classes, POSITIVE_INT, "classes")
     if name == "vgg16":
         return build_vgg16(base_width or 64, classes)
     if name in ("mobilenet", "mobilenet_v1"):

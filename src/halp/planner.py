@@ -29,6 +29,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import groupby
 
+from .fields import INT, PAIR, STRING, Fields, one_of
 from .layers import LayerKind, receptive_field
 from .models import ModelSpec
 
@@ -40,6 +41,7 @@ class Role(Enum):
 
 
 ROLES = (Role.HOST, Role.ED1, Role.ED2)
+_ROLE = one_of(*(role.value for role in ROLES))  # a role's name in a plan document
 
 Range = tuple[int, int]
 
@@ -400,12 +402,9 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec) -> list[str]:
 
 
 def _tiles(out_ranges: dict[Role, Range], h_out: int) -> bool:
-    try:
-        a, b = out_ranges[Role.HOST]
-        return 0 < a < b < h_out and out_ranges == {
-            Role.ED1: (0, a), Role.HOST: (a, b), Role.ED2: (b, h_out)}
-    except (KeyError, TypeError, ValueError):  # a malformed range from a plan file
-        return False
+    a, b = out_ranges[Role.HOST]
+    return 0 < a < b < h_out and out_ranges == {
+        Role.ED1: (0, a), Role.HOST: (a, b), Role.ED2: (b, h_out)}
 
 
 def _schedule_problems(
@@ -494,47 +493,34 @@ def plan_to_json(plan: PartitionPlan) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _int(value, field: str) -> int:
-    """A plan number, which must be an int: `1.0 == 1` would pass every
-    check of `validate_plan` and fail later as a slice index."""
-    if type(value) is not int:
-        raise ValueError(f"{field} must be an int, got {value!r}")
-    return value
-
-
-def _range(pair, field: str) -> Range:
-    return tuple(_int(v, field) for v in pair)
-
-
 def plan_from_json(text: str) -> PartitionPlan:
-    """The plan `plan_to_json` wrote; raises `ValueError` (or `LookupError`,
-    `TypeError`) for a document that is not one, also for a float or bool
-    where a number belongs."""
-    doc = json.loads(text)
+    """The plan `plan_to_json` wrote. Raises `ValueError` for text that is
+    not JSON, and `FieldError` (a `ValueError`) naming the first field that
+    is missing or not of its kind: every number must be an int, every range
+    a pair of ints, and every range map keyed by exactly host, ed1 and ed2."""
+    return read_plan(Fields(json.loads(text)))
+
+
+def read_plan(doc: Fields) -> PartitionPlan:
+    """The plan in a plan document's fields, which a handshake holds under `plan`."""
+
+    def ranges(item: Fields, key: str) -> dict[Role, Range]:
+        owned = item.object(key, keys=_ROLE)
+        return {role: tuple(owned.get(role.value, PAIR)) for role in ROLES}
+
     parts = tuple(
-        LayerPartition(
-            index=_int(item["layer"], "layer"),
-            in_height=_int(item["in_height"], "in_height"),
-            out_height=_int(item["out_height"], "out_height"),
-            out_ranges={Role(k): _range(v, "out_ranges") for k, v in item["out_ranges"].items()},
-            in_ranges={Role(k): _range(v, "in_ranges") for k, v in item["in_ranges"].items()},
-            host_rows=_int(item["host_rows"], "host_rows"),
-        )
-        for item in doc["layers"]
+        LayerPartition(*(item.get(k, INT) for k in ("layer", "in_height", "out_height")),
+                       ranges(item, "out_ranges"), ranges(item, "in_ranges"),
+                       item.get("host_rows", INT))
+        for item in doc.objects("layers")
     )
     schedule = tuple(
-        ExchangeStep(
-            before_layer=_int(item["before_layer"], "before_layer"),
-            sender=Role(item["sender"]),
-            receiver=Role(item["receiver"]),
-            row_start=_int(item["rows"][0], "rows"),
-            row_end=_int(item["rows"][1], "rows"),
-            width=_int(item["width"], "width"),
-            channels=_int(item["channels"], "channels"),
-        )
-        for item in doc["exchange_schedule"]
+        ExchangeStep(item.get("before_layer", INT), Role(item.get("sender", _ROLE)),
+                     Role(item.get("receiver", _ROLE)), *item.get("rows", PAIR),
+                     item.get("width", INT), item.get("channels", INT))
+        for item in doc.objects("exchange_schedule")
     )
-    return PartitionPlan(doc["model"], _int(doc["z1"], "z1"), parts, schedule)
+    return PartitionPlan(doc.get("model", STRING), doc.get("z1", INT), parts, schedule)
 
 
 def render_vgg_table(plan: PartitionPlan, model: ModelSpec) -> str:

@@ -21,12 +21,12 @@ list; `Timeline.sequence()` is deterministic.
 from __future__ import annotations
 
 import json
-import math
 import threading
 import time
 
 import numpy as np
 
+from .fields import ADDRESS, COUNT, DURATION, INT, STRING, Fields
 from .framing import Frame, handshake_frame, parse_handshake
 from .layers import (
     LayerKind,
@@ -47,6 +47,7 @@ from .planner import (
     build_plan,
     plan_from_json,
     plan_to_json,
+    read_plan,
     validate_plan,
 )
 from .simulate import Interval, Timeline
@@ -58,6 +59,7 @@ PROTOCOL_VERSION = 1  # of the handshake document and the frames that follow it
 
 NODE_IDS = {Role.HOST: 0, Role.ED1: 1, Role.ED2: 2}
 NODE_BY_ID = {v: k for k, v in NODE_IDS.items()}
+_MODEL_OPTIONS = ("alpha", "rho", "base_width", "classes")  # of a host config and the handshake
 
 
 class SessionError(RuntimeError):
@@ -156,7 +158,13 @@ class _Node:
         lo, hi = step.row_start - out_start, step.row_end - out_start
         frame = Frame.from_rows(step.before_layer, NODE_IDS[self.role], step.row_start, out[lo:hi])
         start = time.monotonic()
-        self.transports[step.receiver].send(frame)
+        try:
+            self.transports[step.receiver].send(frame)
+        except TransportError as exc:
+            raise SessionError(
+                f"{self.role.value}: send of rows [{step.row_start}, {step.row_end}) before layer "
+                f"{step.before_layer} to {step.receiver.value} failed: {exc}"
+            ) from exc
         self._record(op.link, "send", step.before_layer, step.rows, start)
 
     # --- compute ----------------------------------------------------------
@@ -289,66 +297,73 @@ def _session_doc(config: dict, model: ModelSpec, plan: PartitionPlan) -> dict:
     return {
         "protocol": PROTOCOL_VERSION,
         "model": config["model"],
-        "alpha": model.alpha,
-        "rho": model.rho,
-        "base_width": model.base_width,
-        "classes": model.classes,
+        **{option: getattr(model, option) for option in _MODEL_OPTIONS},
         "seed": config.get("seed", 0),
         "plan": json.loads(plan_to_json(plan)),
     }
 
 
 class ConfigError(ValueError):
-    """A node config the session cannot use: unreadable, not JSON, missing
-    a key its role needs, or holding a value out of range."""
+    """A node config the session cannot use: unreadable, or a field or value it refuses."""
 
 
 def load_config(path: str, role: str) -> dict:
-    """The node config at `path`, with `role` set, once it is a JSON object
-    holding the keys the role needs; its values are checked by the session."""
+    """The JSON object at `path`, with `role` set; the session reads its fields."""
     try:
         with open(path) as fh:
-            config = json.load(fh)
-    except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+            config = Fields(json.load(fh)).doc
+    except (OSError, ValueError) as exc:  # missing, unreadable, not JSON or not an object
         raise ConfigError(str(exc)) from exc
-    required = ("model", "ed1", "ed2") if role == "host" else ("listen",)
-    if not isinstance(config, dict) or not all(key in config for key in required):
-        raise ConfigError(f"{path} needs a JSON object with keys {', '.join(required)}")
     config["role"] = role
     return config
 
 
 def _session_options(config: dict, addresses: tuple[str, ...]) -> tuple[float, int]:
-    """The `timeout_s` and `seed` of a node config, or their defaults,
-    after checking them and the config's `host:port` `addresses`."""
-    timeout = config.get("timeout_s", DEFAULT_TIMEOUT_S)
-    seed = config.get("seed", 0)
-    if type(timeout) not in (int, float) or not 0 < timeout < math.inf:
-        raise ConfigError(f"timeout_s must be a positive number of seconds, got {timeout!r}")
-    if type(seed) is not int or seed < 0:
-        raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
-    for key in addresses:
-        address = config[key]
-        _, colon, port = address.rpartition(":") if isinstance(address, str) else ("", "", "")
-        if not (colon and port.isascii() and port.isdigit() and int(port) <= 65535):
-            raise ConfigError(f"{key} must be host:port, got {address!r}")
-    return timeout, seed
+    """A node config's `timeout_s` and `seed`, once its `host:port` `addresses` read."""
+    try:
+        doc = Fields(config)
+        for key in addresses:
+            doc.get(key, ADDRESS)
+        return doc.get("timeout_s", DURATION, DEFAULT_TIMEOUT_S), doc.get("seed", COUNT, 0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _resolve(config: dict) -> tuple[ModelSpec, PartitionPlan]:
     """The model and plan a host config names; options it omits take
     `get_model`'s defaults."""
-    options = {k: config[k] for k in ("alpha", "rho", "base_width", "classes") if k in config}
+    options = {k: config[k] for k in _MODEL_OPTIONS if k in config}
     try:
-        model = get_model(config["model"], **options)
-        if config.get("plan_path"):
-            with open(config["plan_path"]) as fh:
-                plan = plan_from_json(fh.read())
-        else:
-            plan = build_plan(model, config.get("z1", 4))
-    except (OSError, LookupError, TypeError, ValueError) as exc:
+        doc = Fields(config)
+        model = get_model(doc.get("model", STRING), **options)
+        plan_path = doc.get("plan_path", STRING, None)
+        if plan_path is None:
+            return model, build_plan(model, doc.get("z1", INT, 4))
+        with open(plan_path) as fh:
+            return model, plan_from_json(fh.read())
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
-    return model, plan
+
+
+def read_handshake(frame: Frame, role: Role) -> tuple[ModelSpec, PartitionPlan, int]:
+    """The model, plan and seed of the handshake `role` received. Another
+    protocol version, a malformed document, or a plan that does not fit the
+    model raises `SessionError`."""
+    try:
+        doc = Fields(parse_handshake(frame))
+        version = doc.get("protocol", INT)
+        if version == PROTOCOL_VERSION:  # another version's document is read no further
+            model = get_model(doc.get("model", STRING), **{k: doc.get(k) for k in _MODEL_OPTIONS})
+            seed, plan = doc.get("seed", COUNT), read_plan(doc.object("plan"))
+    except ValueError as exc:
+        raise SessionError(f"{role.value}: malformed handshake: {exc!r}") from exc
+    if version != PROTOCOL_VERSION:
+        raise SessionError(
+            f"{role.value}: handshake protocol {version}, this node speaks {PROTOCOL_VERSION}")
+    problems = validate_plan(plan, model)
+    if problems:
+        raise SessionError(f"{role.value}: handshake plan does not fit model: {problems[0]}")
+    return model, plan, seed
 
 
 def host_session(config: dict) -> tuple[np.ndarray, Timeline]:
@@ -385,44 +400,16 @@ def host_session(config: dict) -> tuple[np.ndarray, Timeline]:
 
 
 def secondary_session(config: dict) -> Timeline:
-    """Listen for the host, take the session parameters from its handshake.
-
-    A handshake of another protocol version (or none), a malformed one, or
-    a plan that does not fit the handshake's model, raises `SessionError`
-    before any weight is drawn. Only the spatial layers' weights are drawn:
-    a secondary never runs the head.
-    """
+    """Listen for the host, and read its handshake before any weight is
+    drawn. Only the spatial layers' weights are drawn: a secondary never
+    runs the head."""
     from .transport import listen_one
 
     role = Role(config["role"])
     timeout, _ = _session_options(config, ("listen",))
     transport = listen_one(config["listen"], timeout)
     try:
-        frame = transport.receive(timeout=timeout)
-        try:
-            doc = parse_handshake(frame)
-            version = doc.get("protocol") if isinstance(doc, dict) else None
-            if version != PROTOCOL_VERSION:
-                raise SessionError(
-                    f"{role.value}: handshake protocol {version!r}, "
-                    f"this node speaks {PROTOCOL_VERSION}"
-                )
-            model = get_model(
-                doc["model"],
-                alpha=doc["alpha"],
-                rho=doc["rho"],
-                base_width=doc["base_width"],
-                classes=doc["classes"],
-            )
-            seed = doc["seed"]
-            if type(seed) is not int or seed < 0:
-                raise ValueError(f"seed must be an int >= 0, got {seed!r}")
-            plan = plan_from_json(json.dumps(doc["plan"]))
-            problems = validate_plan(plan, model)
-        except (LookupError, TypeError, ValueError) as exc:
-            raise SessionError(f"{role.value}: malformed handshake: {exc!r}") from exc
-        if problems:
-            raise SessionError(f"{role.value}: handshake plan does not fit model: {problems[0]}")
+        model, plan, seed = read_handshake(transport.receive(timeout=timeout), role)
         weights = make_weights(model, seed, model.n_spatial)
         trace = Timeline()
         run_secondary(role, model, weights, plan, transport, timeout, trace)

@@ -29,6 +29,8 @@ from importlib import resources
 
 import numpy as np
 
+from .fields import INT, NUMBER, STRING, Fields, one_of
+
 KB = 1024
 IMAGE_MEAN_BYTES = 300 * KB
 IMAGE_STD_BYTES = float(np.sqrt(50.0)) * KB  # variance of 50 KB
@@ -65,10 +67,6 @@ class CatalogEntry:
     top1_accuracy: float
 
     def __post_init__(self):
-        for attr in ("t_standalone_ms", "t_halp_ms", "top1_accuracy"):
-            value = getattr(self, attr)
-            if type(value) not in (int, float):  # bools and strings too
-                raise ValueError(f"{self.name}: {attr} must be a number, got {value!r}")
         if not (self.t_standalone_ms > 0 and self.t_halp_ms > 0):  # NaN fails too
             raise ValueError(f"{self.name}: latencies must be > 0")
         if self.t_halp_ms > self.t_standalone_ms:
@@ -83,8 +81,11 @@ def load_catalog(path: str | None = None) -> list[CatalogEntry]:
     else:
         with open(path) as fh:
             text = fh.read()
-    doc = json.loads(text)
-    return [CatalogEntry(**item) for item in doc["entries"]]
+    keys = one_of(*CatalogEntry.__dataclass_fields__)  # an entry holds no other field
+    entries = Fields(json.loads(text)).objects("entries", keys)
+    return [CatalogEntry(e.get("name", STRING), e.get("alpha", NUMBER), e.get("rho", INT),
+                         e.get("t_standalone_ms", NUMBER), e.get("t_halp_ms", NUMBER),
+                         e.get("top1_accuracy", NUMBER)) for e in entries]
 
 
 def offload_time_ms(image_bytes: float, rate_mbps: float) -> float:

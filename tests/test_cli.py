@@ -573,143 +573,6 @@ def test_reliability_unlimited_deadline_is_legal(capsys):
     assert out.splitlines()[1].startswith("inf,standalone,poor,0.000000,")
 
 
-@pytest.mark.parametrize("argv", [
-    ["plan", "mobilenet", "--alpha", "0.3"],
-    ["plan", "mobilenet", "--rho", "100"],
-    ["simulate", "mobilenet", "--rho", "100"],
-    ["infer", "mobilenet", "--local", "--rho", "100"],
-    ["simulate", "vgg16", "--calibration", "MISSING"],
-    ["plan", "vgg16", "--optimize", "--calibration", "MISSING"],
-    ["simulate", "vgg16", "--calibration", "EMPTY_OBJECT"],
-    ["simulate", "vgg16", "--plan", "MISSING"],
-    ["simulate", "vgg16", "--plan", "EMPTY_OBJECT"],
-    ["simulate", "vgg16", "--base-width", "-3"],
-    ["simulate", "vgg16", "--classes", "0"],
-    ["simulate", "mobilenet", "--alpha", "0.25", "--rho", "160", "--base-width", "-3"],
-    ["plan", "vgg16", "--classes", "-5"],
-    ["simulate", "vgg16", "--calibration", "CHANNEL_WITHOUT_LO"],
-    ["simulate", "vgg16", "--calibration", "CHANNEL_NOT_AN_OBJECT"],
-    ["simulate", "vgg16", "--calibration", "CHANNEL_LO_NOT_A_NUMBER"],
-    ["simulate", "vgg16", "--calibration", "CHANNEL_LO_ABOVE_HI"],
-    ["simulate", "vgg16", "--calibration", "NAN_RATE"],
-    ["simulate", "vgg16", "--calibration", "INF_OVERHEAD"],
-    ["simulate", "vgg16", "--calibration", "NAN_OVERHEAD"],
-    ["plan", "vgg16", "--optimize", "--calibration", "NAN_RATE"],
-    ["simulate", "vgg16", "--base-width", "8", "--classes", "10", "--plan", "SHORT_ROWS_PLAN"],
-    ["infer", "vgg16", "--base-width", "8", "--classes", "10", "--plan", "SHORT_ROWS_PLAN",
-     "--verify"],
-], ids=["plan-alpha", "plan-rho", "simulate-rho", "infer-local-rho", "simulate-no-calibration",
-        "optimize-no-calibration", "simulate-calibration-without-keys", "simulate-no-plan",
-        "simulate-plan-without-keys", "simulate-vgg-negative-width", "simulate-vgg-no-classes",
-        "simulate-mobilenet-negative-width", "plan-negative-classes",
-        "simulate-channel-without-lo", "simulate-channel-not-an-object",
-        "simulate-channel-lo-not-a-number", "simulate-channel-lo-above-hi",
-        "simulate-nan-rate", "simulate-inf-overhead", "simulate-nan-overhead",
-        "optimize-nan-rate", "simulate-plan-with-short-rows", "infer-plan-with-short-rows"])
-def test_bad_model_option_or_input_file_exits_1_without_a_traceback(capsys, tmp_path, argv):
-    from halp.planner import build_plan_vgg, plan_to_json
-
-    timing = '"mac_rate": 4.69e9, "overhead_s": 0.0765'
-    short_rows = json.loads(plan_to_json(build_plan_vgg(build_vgg16(8, 10), 4)))
-    short_rows["exchange_schedule"][0]["rows"] = [1]
-    contents = {
-        "EMPTY_OBJECT": "{}",
-        "CHANNEL_WITHOUT_LO": f'{{{timing}, "channel": {{"hi_mbps": 52}}}}',
-        "CHANNEL_NOT_AN_OBJECT": f'{{{timing}, "channel": 5}}',
-        "CHANNEL_LO_NOT_A_NUMBER": f'{{{timing}, "channel": {{"lo_mbps": "a"}}}}',
-        "CHANNEL_LO_ABOVE_HI": f'{{{timing}, "channel": {{"lo_mbps": 60, "hi_mbps": 30}}}}',
-        "NAN_RATE": '{"mac_rate": NaN, "overhead_s": 0.001}',
-        "INF_OVERHEAD": '{"mac_rate": 4.69e9, "overhead_s": Infinity}',
-        "NAN_OVERHEAD": '{"mac_rate": 4.69e9, "overhead_s": NaN}',
-        "SHORT_ROWS_PLAN": json.dumps(short_rows),
-    }
-    files = {"MISSING": str(tmp_path / "missing.json")}
-    for name, text in contents.items():
-        (tmp_path / f"{name}.json").write_text(text)
-        files[name] = str(tmp_path / f"{name}.json")
-    code, out, err = run_cli(capsys, *[files.get(a, a) for a in argv])
-    assert code == 1
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-
-
-def _catalog(t_standalone_ms, t_halp_ms, top1_accuracy):
-    """A one-entry catalog document; each value is given as JSON text."""
-    return (f'{{"entries": [{{"name": "x", "alpha": 1.0, "rho": 224, '
-            f'"t_standalone_ms": {t_standalone_ms}, "t_halp_ms": {t_halp_ms}, '
-            f'"top1_accuracy": {top1_accuracy}}}]}}')
-
-
-@pytest.mark.parametrize("argv, text, message", [
-    (["reliability", "--catalog", "FILE"], '{"entries": [{"name": "x"}]}', "cannot load catalog: "),
-    (["reliability", "--catalog", "FILE"], '{"foo": 1}', "cannot load catalog: "),
-    (["reliability", "--catalog", "FILE"], "[1]", "cannot load catalog: "),
-    (["infer", "--role", "host", "--config", "FILE"],
-     '{"ed1": "127.0.0.1:7698", "ed2": "127.0.0.1:7699"}', "cannot read config: "),
-    (["infer", "--role", "ed1", "--config", "FILE"], '{"timeout_s": 1}', "cannot read config: "),
-    (["infer", "--role", "ed2", "--config", "FILE"], "[1]", "cannot read config: "),
-    (["infer", "--role", "ed1"], None, "infer --role needs --config"),
-    (["infer", "--role", "ed1", "--config", "FILE"], '{"listen": "127.0.0.1"}',
-     "cannot read config: "),
-    (["infer", "--role", "ed2", "--config", "FILE"],
-     '{"listen": "127.0.0.1:7698", "timeout_s": "1"}', "cannot read config: "),
-    (["infer", "--role", "host", "--config", "FILE"], None, "cannot read config: "),
-    (["infer", "--role", "ed1", "--config", "FILE"], '{"listen": ', "cannot read config: "),
-    (["reliability", "--catalog", "FILE"], _catalog('"500"', '"300"', 0.7),
-     "cannot load catalog: "),
-    (["reliability", "--catalog", "FILE"], _catalog(500, "true", "true"),
-     "cannot load catalog: "),
-    (["reliability", "--catalog", "FILE"], _catalog(500, "NaN", 0.7), "cannot load catalog: "),
-], ids=["catalog-entry-without-fields", "catalog-without-entries", "catalog-not-an-object",
-        "host-config-without-model", "secondary-config-without-listen",
-        "secondary-config-not-an-object", "role-without-config",
-        "secondary-listen-without-port", "secondary-timeout-a-string", "config-missing",
-        "config-not-json", "catalog-latencies-strings", "catalog-bools", "catalog-nan-latency"])
-def test_bad_catalog_or_node_config_exits_1_without_a_traceback(capsys, tmp_path, argv, text,
-                                                                 message):
-    path = tmp_path / "input.json"
-    if text is not None:
-        path.write_text(text)
-    code, out, err = run_cli(capsys, *[str(path) if a == "FILE" else a for a in argv])
-    assert (code, out) == (1, "")
-    assert len(err.splitlines()) == 1 and err.startswith(message)
-
-
-@pytest.mark.parametrize("change", [
-    {"alpha": 0.3},
-    {"plan_path": "MISSING"},
-    {"plan_path": "NOT_A_PLAN"},
-    {"model": "vgg16", "z1": 6},
-    {"timeout_s": "0.3"},
-    {"timeout_s": 0},
-    {"ed1": "127.0.0.1"},
-    {"ed2": "127.0.0.1:port"},
-    {"seed": "3"},
-    {"model": "vgg16", "base_width": 8, "plan_path": "FLOAT_ROWS_PLAN"},
-    {"classes": 2.5},
-    {"base_width": True},
-    {"rho": 224.0},
-    {"alpha": True},
-], ids=["bad-alpha", "missing-plan", "malformed-plan", "infeasible-z1", "timeout-a-string",
-        "timeout-zero", "ed1-without-port", "ed2-port-not-a-number", "seed-a-string",
-        "plan-with-float-rows", "classes-a-float", "width-a-bool", "rho-a-float",
-        "alpha-a-bool"])
-def test_host_config_the_session_cannot_use_exits_1_without_a_traceback(capsys, tmp_path,
-                                                                        change):
-    files = {"MISSING": tmp_path / "missing.json", "NOT_A_PLAN": tmp_path / "not_a_plan.json"}
-    files["NOT_A_PLAN"].write_text('{"model": "vgg16"}')
-    files["FLOAT_ROWS_PLAN"] = tmp_path / "float_rows_plan.json"
-    files["FLOAT_ROWS_PLAN"].write_text(json.dumps(float_rows_plan_doc(build_vgg16(base_width=8))))
-    config = {"model": "mobilenet", "ed1": "127.0.0.1:7698", "ed2": "127.0.0.1:7699",
-              "timeout_s": 0.3}
-    config.update({k: str(files[v]) if v in files else v for k, v in change.items()})
-    path = tmp_path / "host.json"
-    path.write_text(json.dumps(config))
-    code, out, err = run_cli(capsys, "infer", "--role", "host", "--config", str(path))
-    assert (code, out) == (1, "")
-    assert len(err.splitlines()) == 1 and err.startswith("cannot read config: ")
-
-
 def test_simulate_reads_the_calibration_file_once(capsys, tmp_path, monkeypatch):
     """The timing and the channel come from one read, also when --optimize
     prices its search with the same timing."""
@@ -770,3 +633,24 @@ def test_a_plan_that_needs_a_secondary_to_secondary_link_runs_nowhere(capsys, tm
     code, out, err = run_cli(capsys, "infer", *model_args, "--verify")
     assert (code, out) == (2, "")
     assert step in err
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback():
+    """`halp plan mobilenet --json | head -1`: the reader leaves after the
+    first line. The pipe holds one page of the 20 KB document, so the
+    command is still writing when the reader closes it."""
+    import fcntl
+    import os
+    import subprocess
+    import sys
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen([sys.executable, "-m", "halp.cli", "plan", "mobilenet", "--json"],
+                            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb", buffering=0) as reader:
+        assert reader.readline() == b"{\n"
+    _, err = proc.communicate(timeout=30)
+    assert (proc.returncode, err) == (2, b"")

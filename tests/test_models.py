@@ -160,38 +160,6 @@ def test_all_variants_run_monolithic():
             assert out.shape == (11,)
 
 
-@pytest.mark.parametrize(
-    "name, options",
-    [
-        ("vgg16", {"base_width": -3}),
-        ("vgg16", {"classes": 0}),
-        ("vgg16", {"classes": -5}),
-        ("mobilenet", {"alpha": 0.25, "rho": 160, "base_width": -3}),
-        ("mobilenet", {"classes": 0}),
-    ],
-    ids=["vgg-negative-width", "vgg-no-classes", "vgg-negative-classes",
-         "mobilenet-negative-width", "mobilenet-no-classes"],
-)
-def test_get_model_rejects_negative_widths_and_class_counts(name, options):
-    with pytest.raises(ValueError, match="base_width must be >= 0|classes must be >= 1"):
-        get_model(name, **options)
-
-
-@pytest.mark.parametrize("name", ["vgg16", "mobilenet"])
-@pytest.mark.parametrize("option", ["base_width", "classes", "rho"])
-@pytest.mark.parametrize("value", [8.5, 2.0, True])
-def test_get_model_takes_only_int_widths_and_class_counts(name, option, value):
-    with pytest.raises(ValueError, match=f"{option} must be an int, got {value!r}"):
-        get_model(name, **{option: value})
-
-
-@pytest.mark.parametrize("name", ["vgg16", "mobilenet"])
-def test_get_model_takes_an_int_or_float_alpha_but_no_bool(name):
-    with pytest.raises(ValueError, match="alpha must be a number, got True"):
-        get_model(name, True)
-    assert get_model(name, 1, 160) == get_model(name, 1.0, 160)
-
-
 def test_get_model_width_0_is_the_family_default():
     assert get_model("vgg16", base_width=0) == build_vgg16()
     assert get_model("mobilenet", 0.5, 160, base_width=0) == build_mobilenet_v1(0.5, 160)

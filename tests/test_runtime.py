@@ -1,6 +1,7 @@
 """Distributed execution equals the monolithic oracle; protocol properties."""
 
 import json
+import re
 import threading
 import time
 
@@ -23,6 +24,7 @@ from halp.planner import (
     build_plan_vgg,
 )
 from halp.runtime import (
+    SessionError,
     SessionTimeout,
     monolithic_infer,
     run_host,
@@ -31,7 +33,7 @@ from halp.runtime import (
     verify_equivalence,
 )
 from halp.simulate import TimingModel, simulate
-from halp.transport import inproc_pair
+from halp.transport import TransportError, inproc_pair
 from tests_property_helpers import steps_before
 
 
@@ -349,6 +351,58 @@ def test_secondary_rejects_a_frame_of_another_shape(field):
     assert time.monotonic() - start < 1.0
 
 
+class _SendFails:
+    """A transport end whose every send fails as a broken pipe does."""
+
+    def __init__(self, end):
+        self.end = end
+
+    def send(self, frame):
+        raise TransportError("send failed: [Errno 32] Broken pipe")
+
+    def receive(self, timeout):
+        return self.end.receive(timeout)
+
+    def close(self):
+        self.end.close()
+
+
+_SEND_FAILED = r"send of rows \[\d+, \d+\) before layer \d+ to {} failed: .*Broken pipe$"
+
+
+def test_a_failed_send_on_the_host_names_its_role_and_layer():
+    m = build_vgg16(base_width=8, classes=5)
+    ends = {role: _SendFails(inproc_pair()[0]) for role in (Role.ED1, Role.ED2)}
+    start = time.monotonic()
+    with pytest.raises(SessionError, match="^host: " + _SEND_FAILED.format("ed[12]")):
+        run_host(m, make_weights(m, 0), build_plan_vgg(m, 4), make_input(m, 1), ends, timeout=5.0)
+    assert time.monotonic() - start < 5.0
+
+
+def test_a_failed_send_on_a_secondary_names_its_role_and_layer(monkeypatch):
+    """ED1's first send fails; the host then sees ED1 close, and its
+    error carries ED1's as its cause."""
+    from halp import runtime
+
+    pairs = []
+
+    def pair(rate_mbps):
+        host_end, node_end = inproc_pair(rate_mbps)
+        pairs.append(node_end)
+        return host_end, _SendFails(node_end) if len(pairs) == 1 else node_end  # ED1's end
+
+    monkeypatch.setattr(runtime, "inproc_pair", pair)
+    m = build_vgg16(base_width=8, classes=5)
+    start = time.monotonic()
+    with pytest.raises(SessionError) as info:
+        run_local_session(m, make_weights(m, 0), build_plan_vgg(m, 4), make_input(m, 1),
+                          timeout=5.0)
+    assert time.monotonic() - start < 5.0
+    cause = info.value.__cause__
+    assert isinstance(cause, SessionError)
+    assert re.match("^ed1: " + _SEND_FAILED.format("host"), str(cause)), str(cause)
+
+
 def test_host_rejects_bad_plan_model_pair():
     from halp.runtime import SessionError
 
@@ -575,19 +629,13 @@ def test_secondaries_draw_only_spatial_weights(monkeypatch):
     [
         (7605, {}, "does not fit model"),  # the plan is VGG-16's
         (7606, {"model": "resnet"}, "malformed handshake"),
-        (7607, {"plan": {"layers": []}}, "malformed handshake"),
-        (7613, {"base_width": -3}, "malformed handshake"),
-        (7616, {"seed": "x"}, "malformed handshake"),
-        (7617, {"seed": 1.5}, "malformed handshake"),
-        (7618, {"seed": -1}, "malformed handshake"),
-        (7619, {"seed": True}, "malformed handshake"),
-        (7620, {"classes": 2.5}, "malformed handshake"),
     ],
-    ids=["plan_for_another_model", "unknown_model", "plan_missing_keys", "negative_width",
-         "str_seed", "float_seed", "negative_seed", "bool_seed", "float_classes"],
+    ids=["plan_for_another_model", "unknown_model"],
 )
 def test_secondary_rejects_bad_handshake(monkeypatch, port, change, message):
-    """A bad handshake fails both ends at once, before the secondary draws weights."""
+    """A bad handshake fails both ends at once, before the secondary draws
+    weights. `test_fields` sweeps each field of a handshake through
+    `read_handshake`; these cases check the wiring over a socket."""
     import time
 
     from halp import runtime
@@ -631,8 +679,8 @@ def test_secondary_rejects_bad_handshake(monkeypatch, port, change, message):
 
 @pytest.mark.parametrize(
     "port, version",
-    [(7608, None), (7609, 2), (7610, "1")],
-    ids=["missing", "newer", "string"],
+    [(7609, 2)],
+    ids=["newer"],
 )
 def test_secondary_rejects_other_protocol_version(monkeypatch, port, version):
     """A handshake without this node's protocol version fails both ends at
@@ -672,7 +720,7 @@ def test_secondary_rejects_other_protocol_version(monkeypatch, port, version):
     server.join(timeout=10)
     assert not server.is_alive()
     assert len(failures) == 1 and isinstance(failures[0], SessionError)
-    assert f"handshake protocol {version!r}" in str(failures[0])
+    assert f"handshake protocol {version}, this node speaks 1" in str(failures[0])
     assert draws == []
 
 
