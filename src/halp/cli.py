@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import models as model_lib
-from .fields import NUMBER, Fields
+from .fields import NUMBER, parse
 from .planner import (
     PlanError,
     build_plan,
@@ -91,7 +91,7 @@ def _calibration(args, model_name: str) -> tuple[TimingModel, ChannelModel | Non
         return default_timing(model_name), None
     try:
         with open(args.calibration) as fh:
-            doc = Fields(json.load(fh))
+            doc = parse(fh.read())
         timing = TimingModel(doc.get("mac_rate", NUMBER), doc.get("overhead_s", NUMBER))
         channel = doc.object("channel", None)
         if channel is not None:

@@ -1,8 +1,10 @@
 """The one reader of every input document: plan files, node configs, the
-handshake, catalogs, calibrations and model options. It owns each field's
-presence and kind, and the bounds its format states. A refusal is a
-`FieldError` whose message starts with the field's path, built only then."""
+handshake, catalogs, calibrations and model options. `parse` is the one
+`json.loads` of their text. It owns each field's presence and kind, and the
+bounds its format states. A refusal is a `FieldError` whose message starts
+with the field's path, built only then."""
 
+import json
 import math
 
 
@@ -61,3 +63,14 @@ class Fields:
 
     def objects(self, key: str, keys: tuple | None = None) -> list:
         return [Fields(v, *self.path, key, i, keys=keys) for i, v in enumerate(self.get(key, LIST))]
+
+
+def parse(text: str) -> Fields:
+    """The JSON object `text` holds. Text that is not JSON raises `json`'s
+    own `ValueError`; a document nested deeper than the parser recurses is
+    a `FieldError`, not a `RecursionError`."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise FieldError(f"{_name(())} is nested too deeply") from None
+    return Fields(doc)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import parse
+
 HEADER = struct.Struct("<HBHHHH")
 HANDSHAKE_LAYER = 0xFFFF
 # Largest payload a reader accepts: 64 MiB, more than a whole float32 map of
@@ -131,4 +133,4 @@ def handshake_frame(doc: dict) -> Frame:
 def parse_handshake(frame: Frame) -> dict:
     if frame.layer != HANDSHAKE_LAYER:
         raise FrameError(f"not a handshake frame (layer {frame.layer})")
-    return json.loads(frame.payload.decode().strip())
+    return parse(frame.payload.decode().strip()).doc

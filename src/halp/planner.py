@@ -29,7 +29,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import groupby
 
-from .fields import INT, PAIR, STRING, Fields, one_of
+from .fields import INT, PAIR, STRING, Fields, one_of, parse
 from .layers import LayerKind, receptive_field
 from .models import ModelSpec
 
@@ -463,8 +463,9 @@ def optimize_plan(model: ModelSpec, timing, rate_mbps: float) -> PartitionPlan:
 # --- serialization and table rendering -------------------------------------
 
 
-def plan_to_json(plan: PartitionPlan) -> str:
-    doc = {
+def plan_doc(plan: PartitionPlan) -> dict:
+    """The plan as the JSON document `plan_to_json` writes and a handshake holds."""
+    return {
         "model": plan.model_name,
         "z1": plan.z1,
         "layers": [
@@ -490,15 +491,19 @@ def plan_to_json(plan: PartitionPlan) -> str:
             for s in plan.exchange_schedule
         ],
     }
-    return json.dumps(doc, indent=2)
+
+
+def plan_to_json(plan: PartitionPlan) -> str:
+    return json.dumps(plan_doc(plan), indent=2)
 
 
 def plan_from_json(text: str) -> PartitionPlan:
     """The plan `plan_to_json` wrote. Raises `ValueError` for text that is
-    not JSON, and `FieldError` (a `ValueError`) naming the first field that
-    is missing or not of its kind: every number must be an int, every range
-    a pair of ints, and every range map keyed by exactly host, ed1 and ed2."""
-    return read_plan(Fields(json.loads(text)))
+    not JSON, and `FieldError` (a `ValueError`) for a document nested too
+    deeply or naming the first field that is missing or not of its kind:
+    every number must be an int, every range a pair of ints, and every range
+    map keyed by exactly host, ed1 and ed2."""
+    return read_plan(parse(text))
 
 
 def read_plan(doc: Fields) -> PartitionPlan:

@@ -20,13 +20,12 @@ list; `Timeline.sequence()` is deterministic.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 
 import numpy as np
 
-from .fields import ADDRESS, COUNT, DURATION, INT, STRING, Fields
+from .fields import ADDRESS, COUNT, DURATION, INT, STRING, Fields, parse
 from .framing import Frame, handshake_frame, parse_handshake
 from .layers import (
     LayerKind,
@@ -46,7 +45,7 @@ from .planner import (
     Send,
     build_plan,
     plan_from_json,
-    plan_to_json,
+    plan_doc,
     read_plan,
     validate_plan,
 )
@@ -299,7 +298,7 @@ def _session_doc(config: dict, model: ModelSpec, plan: PartitionPlan) -> dict:
         "model": config["model"],
         **{option: getattr(model, option) for option in _MODEL_OPTIONS},
         "seed": config.get("seed", 0),
-        "plan": json.loads(plan_to_json(plan)),
+        "plan": plan_doc(plan),
     }
 
 
@@ -311,8 +310,8 @@ def load_config(path: str, role: str) -> dict:
     """The JSON object at `path`, with `role` set; the session reads its fields."""
     try:
         with open(path) as fh:
-            config = Fields(json.load(fh)).doc
-    except (OSError, ValueError) as exc:  # missing, unreadable, not JSON or not an object
+            config = parse(fh.read()).doc
+    except (OSError, ValueError) as exc:  # missing, unreadable, not JSON, too deep, not an object
         raise ConfigError(str(exc)) from exc
     config["role"] = role
     return config

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
 import numpy as np
 
-from .fields import INT, NUMBER, STRING, Fields, one_of
+from .fields import INT, NUMBER, STRING, one_of, parse
 
 KB = 1024
 IMAGE_MEAN_BYTES = 300 * KB
@@ -82,7 +81,7 @@ def load_catalog(path: str | None = None) -> list[CatalogEntry]:
         with open(path) as fh:
             text = fh.read()
     keys = one_of(*CatalogEntry.__dataclass_fields__)  # an entry holds no other field
-    entries = Fields(json.loads(text)).objects("entries", keys)
+    entries = parse(text).objects("entries", keys)
     return [CatalogEntry(e.get("name", STRING), e.get("alpha", NUMBER), e.get("rho", INT),
                          e.get("t_standalone_ms", NUMBER), e.get("t_halp_ms", NUMBER),
                          e.get("top1_accuracy", NUMBER)) for e in entries]

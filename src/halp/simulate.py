@@ -25,9 +25,9 @@ defined for it.
 Calibration fits the two per-family constants (MAC rate, per-layer
 overhead) to the published wall-clock measurements; MobileNet gets one
 effective rate per variant since the measured per-MAC speed of the small
-variants differs by an order of magnitude from the large ones. The VGG
-fit prices its whole overhead grid as one array timing, in one walk per
-entry zone.
+variants differs by an order of magnitude from the large ones. Both fits
+price their overhead grid as one array timing: the VGG fit in one walk per
+entry zone, the MobileNet fit in one walk per variant and bisection step.
 """
 
 from __future__ import annotations
@@ -289,6 +289,29 @@ def _sim_gain(model, plan, rate, overhead_s) -> tuple[float, float]:
     return t_standalone / makespan, t_standalone
 
 
+def _fit_rates(model, plan, t_ms, overheads):
+    """(rates, gains, simulated standalone times) at each overhead: the rate
+    that pins `t_ms`, scaled where its gain leaves `_GAIN_FIT_TARGET`. The
+    elements bisect in lockstep, one array `simulate` call per step, and each
+    stops once its gain is within 1e-4 of its target (or after 60 steps)."""
+    exact = rate_for_standalone(model, t_ms / 1e3, overheads)
+    gain, t_sim = _sim_gain(model, plan, exact, overheads)
+    # gain rises as the device slows; bisect the rate scale toward the nearer end
+    want = np.clip(gain, *_GAIN_FIT_TARGET)
+    active = want != gain
+    k, lo_k, hi_k = np.ones_like(exact), np.full_like(exact, 0.25), np.full_like(exact, 4.0)
+    for _ in range(60):
+        if not active.any():
+            break
+        # libm's pow, as a scalar `** 0.5` takes it: numpy's sqrt rounds some products apart.
+        # A stopped element keeps its k, so it prices to the same gain and time again.
+        k = np.where(active, [math.pow(p, 0.5) for p in lo_k * hi_k], k)
+        gain, t_sim = _sim_gain(model, plan, exact * k, overheads)
+        lo_k, hi_k = np.where(gain > want, k, lo_k), np.where(gain > want, hi_k, k)
+        active &= np.abs(gain - want) >= 1e-4
+    return exact * k, gain, t_sim
+
+
 def fit_mobilenet_timing():
     """One overhead for the family, one effective rate per variant, for the
     builder's default widths at `REFERENCE_RATE_MBPS`.
@@ -298,62 +321,27 @@ def fit_mobilenet_timing():
     keep every simulated gain inside the published bracket, so where a gain
     would leave the bracket the variant's rate is adjusted just far enough
     (the gain is monotone in the rate) and the standalone residual is
-    reported."""
+    reported. Of the overheads that keep every gain inside `GAIN_WINDOW`, the
+    least sum of squared residuals wins, and the lowest on a tie."""
     standalone_ms = {entry.name: entry.t_standalone_ms for entry in load_catalog()}
-    variants = []
+    overheads = np.arange(1.0, 16.0, 0.5) / 1e3
+    rates, gains, residuals = {}, {}, {}
     for alpha in MOBILENET_ALPHAS:
         for rho in MOBILENET_RHOS:
             m = build_mobilenet_v1(alpha, rho)
-            variants.append((m, build_plan_mobilenet(m), standalone_ms[m.name]))
-
-    lo_target, hi_target = _GAIN_FIT_TARGET
-
-    def fit_variant(m, plan, t_ms, overhead_s):
-        exact = rate_for_standalone(m, t_ms / 1e3, overhead_s)
-        gain, t_sim = _sim_gain(m, plan, exact, overhead_s)
-        if lo_target <= gain <= hi_target:
-            return exact, gain, t_sim
-        # gain rises as the device slows; bisect the rate scale toward the window
-        want = hi_target if gain > hi_target else lo_target
-        lo_k, hi_k = 0.25, 4.0
-        for _ in range(60):
-            k = (lo_k * hi_k) ** 0.5
-            gain, t_sim = _sim_gain(m, plan, exact * k, overhead_s)
-            if gain > want:
-                lo_k = k  # slower than needed
-            else:
-                hi_k = k
-            if abs(gain - want) < 1e-4:
-                break
-        return exact * k, gain, t_sim
-
-    best = None
-    for overhead_ms in np.arange(1.0, 16.0, 0.5):
-        overhead_s = overhead_ms / 1e3
-        rates, gains, residuals = {}, {}, {}
-        feasible = True
-        for m, plan, t_ms in variants:
-            try:
-                rate, gain, t_sim = fit_variant(m, plan, t_ms, overhead_s)
-            except ValueError:
-                feasible = False
-                break
-            if not GAIN_WINDOW[0] < gain < GAIN_WINDOW[1]:
-                feasible = False
-                break
-            rates[m.name] = float(rate)
-            gains[m.name] = float(gain)
-            residuals[m.name] = float((t_sim * 1e3 - t_ms) / t_ms)
-        if not feasible:
-            continue
-        score = sum(r * r for r in residuals.values())
-        if best is None or score < best[0]:
-            best = (score, overhead_s, rates, gains, residuals)
-    if best is None:
+            t_ms = standalone_ms[m.name]
+            plan = build_plan_mobilenet(m)
+            rates[m.name], gains[m.name], t_sim = _fit_rates(m, plan, t_ms, overheads)
+            residuals[m.name] = (t_sim * 1e3 - t_ms) / t_ms
+    feasible = np.all([(GAIN_WINDOW[0] < g) & (g < GAIN_WINDOW[1]) for g in gains.values()], axis=0)
+    score = sum(r * r for r in residuals.values())  # summed in catalog order
+    i = np.argmin(np.where(feasible, score, np.inf))
+    if not feasible[i]:
         raise RuntimeError("no feasible MobileNet calibration found")
-    _, overhead_s, rates, gains, residuals = best
-    report = {"gains": gains, "standalone_residuals": residuals}
-    return overhead_s, rates, report
+    rates, gains, residuals = (
+        {name: float(v[i]) for name, v in d.items()} for d in (rates, gains, residuals)
+    )
+    return overheads[i], rates, {"gains": gains, "standalone_residuals": residuals}
 
 
 def default_calibration() -> dict:

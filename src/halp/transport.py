@@ -71,8 +71,8 @@ class InProcTransport:
             self._link_free = arrive
         self._send_q.put((arrive, frame))
 
-    def receive(self, timeout: float | None = None) -> Frame:
-        deadline = None if timeout is None else time.monotonic() + timeout
+    def receive(self, timeout: float) -> Frame:
+        deadline = time.monotonic() + timeout
         item, self._held = self._held, None
         if item is None:
             try:
@@ -80,7 +80,7 @@ class InProcTransport:
             except queue.Empty:
                 raise TransportTimeout(f"no frame within {timeout} s") from None
         arrive, frame = item
-        if deadline is not None and arrive > deadline:
+        if arrive > deadline:
             self._held = item  # the next receive delivers it
             time.sleep(max(0.0, deadline - time.monotonic()))
             raise TransportTimeout(f"no frame within {timeout} s")
@@ -155,7 +155,7 @@ class SocketTransport:
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
 
-    def receive(self, timeout: float | None = None) -> Frame:
+    def receive(self, timeout: float) -> Frame:
         try:
             item = self._queue.get(timeout=timeout)
         except queue.Empty:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from halp.cli import main
+from halp.framing import handshake_frame
 from halp.models import build_vgg16
 from halp.planner import Role
 from test_planner import float_rows_plan_doc, secondary_to_secondary_plan
@@ -183,12 +184,11 @@ def test_infer_secondary_that_cannot_listen_exits_2(capsys, tmp_path, in_use):
     assert err.startswith(f"session failed: cannot listen on {address}: ")
 
 
-def _ed1_given_handshake(capsys, tmp_path, port, doc):
-    """Run `infer --role ed1` while a host thread sends it `doc` as the
-    handshake; the CLI's exit code and stderr."""
+def _ed1_given_handshake(capsys, tmp_path, port, frame):
+    """Run `infer --role ed1` while a host thread sends it the handshake
+    `frame`; the CLI's exit code and stderr."""
     import threading
 
-    from halp.framing import handshake_frame
     from halp.transport import TransportError, connect
 
     config = tmp_path / "ed1.json"
@@ -197,7 +197,7 @@ def _ed1_given_handshake(capsys, tmp_path, port, doc):
     def host():
         t = connect(f"127.0.0.1:{port}", timeout=10)
         try:
-            t.send(handshake_frame(doc))
+            t.send(frame)
             t.receive(timeout=10)
         except TransportError:
             pass
@@ -220,7 +220,7 @@ def test_infer_secondary_with_wrong_handshake_plan_exits_2(capsys, tmp_path):
     doc = {"protocol": PROTOCOL_VERSION, "model": "mobilenet", "alpha": 0.5, "rho": 160,
            "base_width": 8, "classes": 5, "seed": 0,
            "plan": json.loads(plan_to_json(build_plan(build_vgg16(8, 5), 4)))}
-    code, err = _ed1_given_handshake(capsys, tmp_path, 7694, doc)
+    code, err = _ed1_given_handshake(capsys, tmp_path, 7694, handshake_frame(doc))
     assert code == 2
     assert "does not fit model" in err
 
@@ -238,7 +238,7 @@ def test_infer_secondary_given_another_mobilenet_variants_plan_exits_2(capsys, t
     doc = {"protocol": runtime.PROTOCOL_VERSION, "model": "mobilenet", "alpha": 0.5,
            "rho": 160, "base_width": 8, "classes": 5, "seed": 0,
            "plan": json.loads(plan_to_json(build_plan(build_mobilenet_v1(1.0, 160, 8, 5))))}
-    code, err = _ed1_given_handshake(capsys, tmp_path, 7614, doc)
+    code, err = _ed1_given_handshake(capsys, tmp_path, 7614, handshake_frame(doc))
     assert code == 2
     assert "does not fit model" in err
     assert draws == []
@@ -262,7 +262,7 @@ def test_plan_with_float_rows_exits_before_any_session(capsys, tmp_path, monkeyp
     monkeypatch.setattr(runtime, "make_weights", lambda *a, **k: draws.append(a))
     handshake = {"protocol": runtime.PROTOCOL_VERSION, "model": "vgg16", "alpha": 1.0,
                  "rho": 224, "base_width": 8, "classes": 5, "seed": 0, "plan": doc}
-    code, err = _ed1_given_handshake(capsys, tmp_path, 7615, handshake)
+    code, err = _ed1_given_handshake(capsys, tmp_path, 7615, handshake_frame(handshake))
     assert code == 2
     assert "malformed handshake" in err
     assert draws == []
@@ -344,7 +344,7 @@ def _truncated_first_frame():
     frame the host owes ED1."""
     import numpy as np
 
-    from halp.framing import HEADER, Frame, handshake_frame, serialize_frame
+    from halp.framing import HEADER, Frame, serialize_frame
     from halp.models import build_vgg16
     from halp.planner import build_plan, plan_to_json
     from halp.runtime import PROTOCOL_VERSION

@@ -6,6 +6,7 @@ exit code and the single stderr line, also for refusals of values rather
 than kinds, which the objects built from the fields make."""
 
 import copy
+import hashlib
 import json
 import math
 from argparse import Namespace
@@ -14,11 +15,11 @@ import pytest
 
 from halp import cli, runtime
 from halp.fields import PAIR, FieldError, Fields
-from halp.framing import handshake_frame
+from halp.framing import HANDSHAKE_LAYER, Frame, handshake_frame
 from halp.models import build_vgg16, get_model
 from halp.planner import Role, build_plan_vgg, plan_from_json, plan_to_json
 from halp.selector import load_catalog
-from test_cli import run_cli
+from test_cli import _ed1_given_handshake, run_cli
 from test_planner import float_rows_plan_doc
 
 # Each wrong value the sweep tries, by the JSON text that writes it.
@@ -245,9 +246,14 @@ def _host(**change):
     return {**config, **change}
 
 
+# Deeper than the JSON parser recurses; no reader may end in a RecursionError.
+DEEP = "[" * 100_000 + "]" * 100_000
+TOO_DEEP = "FieldError: the document is nested too deeply"
+
 # Files a case names by placeholder: None is a path with no file.
 FILES = {
     "MISSING": None,
+    "DEEP": DEEP,
     "NOT_A_PLAN": {"model": "vgg16"},
     "FLOAT_ROWS_PLAN": float_rows_plan_doc(build_vgg16(base_width=8)),
     "SHORT_ROWS_PLAN": _plan_edit(lambda d: d["exchange_schedule"][0].update(rows=[1])),
@@ -306,6 +312,8 @@ CLI_CASES = {
     "simulate-nan-overhead": (["simulate", "vgg16", "--calibration", "FILE"],
                               {"mac_rate": 4.69e9, "overhead_s": math.nan}, 1,
                               "error: cannot read calibration: overhead_s must be a number"),
+    "simulate-deep-calibration": (["simulate", "vgg16", "--calibration", "DEEP"], None, 1,
+                                  "error: cannot read calibration: the document is nested too"),
     "optimize-nan-rate": (["plan", "vgg16", "--optimize", "--calibration", "FILE"],
                           {"mac_rate": math.nan, "overhead_s": 0.001}, 1,
                           "error: cannot read calibration: mac_rate must be a number"),
@@ -321,6 +329,8 @@ CLI_CASES = {
                                    None, 1, "error: cannot read plan: "),
     "simulate-plan-with-three-rows": (["simulate", *_VGG8, "--plan", "THREE_ROWS_PLAN"], None, 1,
                                       "error: cannot read plan: FieldError: exchange_schedule[0]"),
+    "simulate-deep-plan": (["simulate", *_VGG8, "--plan", "DEEP"], None, 1,
+                           f"error: cannot read plan: {TOO_DEEP}"),
     "simulate-plan-without-a-role": (
         ["simulate", *_VGG8, "--plan", "PLAN_WITHOUT_ED2"], None, 1,
         "error: cannot read plan: FieldError: layers[0].out_ranges.ed2 is missing"),
@@ -330,6 +340,8 @@ CLI_CASES = {
                                      "cannot load catalog: FieldError: entries[0].alpha is"),
     "catalog-without-entries": (["reliability", "--catalog", "FILE"], {"foo": 1}, 1,
                                 "cannot load catalog: FieldError: entries is missing"),
+    "catalog-deep": (["reliability", "--catalog", "DEEP"], None, 1,
+                     f"cannot load catalog: {TOO_DEEP}"),
     "catalog-not-an-object": (["reliability", "--catalog", "FILE"], [1], 1,
                               "cannot load catalog: FieldError: the document must be an object"),
     "catalog-latencies-strings": (
@@ -365,6 +377,10 @@ CLI_CASES = {
         "cannot read config: timeout_s must be a positive finite number, got '1'"),
     "config-missing": (["infer", "--role", "host", "--config", "MISSING"], None, 1,
                        "cannot read config: [Errno 2]"),
+    "host-config-deep": (["infer", "--role", "host", "--config", "DEEP"], None, 1,
+                         "cannot read config: the document is nested too deeply"),
+    "secondary-config-deep": (["infer", "--role", "ed1", "--config", "DEEP"], None, 1,
+                              "cannot read config: the document is nested too deeply"),
     "config-not-json": (["infer", "--role", "ed1", "--config", "FILE"], '{"listen": ', 1,
                         "cannot read config: Expecting value"),
     **{f"host-{name}": (["infer", "--role", "host", "--config", "FILE"], _host(**change), 1,
@@ -372,6 +388,7 @@ CLI_CASES = {
        for name, change, message in [
            ("bad-alpha", {"alpha": 0.3}, "ValueError: alpha must be one of"),
            ("missing-plan", {"plan_path": "MISSING"}, "FileNotFoundError: "),
+           ("deep-plan", {"plan_path": "DEEP"}, TOO_DEEP),
            ("malformed-plan", {"plan_path": "NOT_A_PLAN"}, "FieldError: layers is missing"),
            ("infeasible-z1", {"model": "vgg16", "z1": 6}, "PlanError: "),
            ("timeout-a-string", {"timeout_s": "0.3"}, "timeout_s must be a positive"),
@@ -412,3 +429,23 @@ def test_a_refused_document_exits_with_one_line_and_its_code(capsys, tmp_path, a
     got, out, err = run_cli(capsys, *[paths.get(a, a) for a in argv])
     assert (got, out) == (code, "")
     assert len(err.splitlines()) == 1 and err.startswith(start), err
+
+
+def test_a_handshake_nested_too_deeply_exits_2_as_a_malformed_handshake(capsys, tmp_path):
+    raw = ("[" * 60_000 + "]" * 60_000).encode()  # too deep for `handshake_frame` to dump
+    frame = Frame(layer=HANDSHAKE_LAYER, sender=0, row_start=0, row_count=len(raw) // 4,
+                  width=1, channels=1, payload=raw)
+    code, err = _ed1_given_handshake(capsys, tmp_path, 7616, frame)
+    assert code == 2
+    assert err == ("session failed: ed1: malformed handshake: "
+                   "FieldError('the document is nested too deeply')\n")
+
+
+def test_the_handshake_embeds_the_plan_document_as_plan_to_json_writes_it():
+    model, plan = runtime._resolve(HOST_CONFIG)
+    doc = runtime._session_doc(HOST_CONFIG, model, plan)
+    assert doc["plan"] == json.loads(plan_to_json(plan))
+    # the handshake bytes built before the plan skipped its JSON round trip
+    payload = handshake_frame(doc).payload
+    assert hashlib.sha256(payload).hexdigest() == (
+        "fd5d4151addbcf74fed6c07e0d317baffeb77f7d2958f598470cdb5681dbd5b0")

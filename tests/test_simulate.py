@@ -15,6 +15,7 @@ from halp.models import (
 )
 from halp import simulate as simulate_module
 from halp.planner import ROLES, Recv, Role, build_plan_mobilenet, build_plan_vgg, optimize_plan
+from halp.selector import load_catalog
 from halp.simulate import (
     GAIN_WINDOW,
     VGG_STANDALONE_MS,
@@ -297,6 +298,83 @@ def _exhaustive_vgg_fit(model, rate_mbps):
     report = {"standalone_ms": standalone_time(model, timing) * 1e3,
               "worst_makespan_deviation": score}
     return timing, report
+
+
+def _scalar_mobilenet_rate(model, plan, t_ms, overhead_s):
+    """Reference: one overhead at a time, one scalar `simulate` call per
+    bisection step; returns (rate, gain, simulated standalone time, the
+    direction it bisected toward, steps)."""
+
+    def gain_and_time(rate):
+        timing = TimingModel(rate, overhead_s)
+        alone = standalone_time(model, timing)
+        return alone / simulate(plan, model, timing, 42.0).makespan, alone
+
+    lo_target, hi_target = simulate_module._GAIN_FIT_TARGET
+    exact = rate_for_standalone(model, t_ms / 1e3, overhead_s)
+    gain, t_sim = gain_and_time(exact)
+    if lo_target <= gain <= hi_target:
+        return exact, gain, t_sim, None, 0
+    want = hi_target if gain > hi_target else lo_target
+    lo_k, hi_k = 0.25, 4.0
+    for step in range(1, 61):
+        k = (lo_k * hi_k) ** 0.5
+        gain, t_sim = gain_and_time(exact * k)
+        if gain > want:
+            lo_k = k
+        else:
+            hi_k = k
+        if abs(gain - want) < 1e-4:
+            break
+    return exact * k, gain, t_sim, want, step
+
+
+def test_lockstep_mobilenet_rates_equal_the_scalar_bisection_bit_for_bit(monkeypatch):
+    """All 12 variants at all 30 overheads of the fit's grid: the lockstep
+    rates, gains and simulated standalone times equal a scalar bisection's,
+    with one array `simulate` call per step. The grid bisects toward both
+    ends of the target, and some elements use all 60 steps."""
+    calls = []
+    original = simulate_module.simulate
+
+    def counted(plan, model, timing, rate_mbps):
+        calls.append(np.shape(timing.mac_rate))
+        return original(plan, model, timing, rate_mbps)
+
+    monkeypatch.setattr(simulate_module, "simulate", counted)
+    overheads = np.arange(1.0, 16.0, 0.5) / 1e3
+    standalone_ms = {entry.name: entry.t_standalone_ms for entry in load_catalog()}
+    toward, steps = set(), set()
+    for alpha in MOBILENET_ALPHAS:
+        for rho in MOBILENET_RHOS:
+            m = build_mobilenet_v1(alpha, rho)
+            plan, t_ms = build_plan_mobilenet(m), standalone_ms[m.name]
+            calls.clear()
+            got = simulate_module._fit_rates(m, plan, t_ms, overheads)
+            assert 1 <= len(calls) <= 61 and set(calls) == {overheads.shape}
+            *want, wants, counts = zip(*(_scalar_mobilenet_rate(m, plan, t_ms, o)
+                                         for o in overheads))
+            for g, w in zip(got, want):
+                assert g.tobytes() == np.array(w).tobytes(), m.name
+            assert len(calls) == 1 + max(counts)
+            toward.update(wants)
+            steps.update(counts)
+    assert toward == {None, *simulate_module._GAIN_FIT_TARGET}
+    assert 60 in steps
+
+
+def test_mobilenet_fit_prices_only_array_timings_of_its_grid(monkeypatch):
+    shapes = []
+    original = simulate_module.simulate
+
+    def counted(plan, model, timing, rate_mbps):
+        shapes.append((np.shape(timing.mac_rate), np.shape(timing.overhead_s)))
+        return original(plan, model, timing, rate_mbps)
+
+    monkeypatch.setattr(simulate_module, "simulate", counted)
+    fit_mobilenet_timing()
+    assert 12 <= len(shapes) <= 12 * 61
+    assert set(shapes) == {((30,), (30,))}
 
 
 @pytest.mark.parametrize("rate", [10.0, 42.0, math.inf])
