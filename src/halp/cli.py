@@ -170,7 +170,7 @@ def cmd_infer(args) -> None:
         return
     # --local: monolithic inference
     weights = make_weights(model, args.seed)
-    out = monolithic_infer(model, weights, make_input(model, args.seed + 1))
+    out = monolithic_infer(model, weights, make_input(model, args.seed))
     _print_vector(out, args)
 
 

@@ -6,6 +6,7 @@ with the field's path, built only then."""
 
 import json
 import math
+import reprlib
 
 
 class FieldError(ValueError):
@@ -16,10 +17,20 @@ def _name(path: tuple) -> str:  # ("layers", 3, "out_ranges") -> "layers[3].out_
     return "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)[1:] or "the document"
 
 
+_SHOWN = 80  # characters of a refused value a message prints
+_REPR = reprlib.Repr()  # cuts deep nesting, long lists and strings before writing them
+_REPR.maxlevel, _REPR.maxstring, _REPR.maxother, _REPR.maxlong = 4, _SHOWN, _SHOWN, _SHOWN
+
+
+def _shown(value) -> str:
+    text = _REPR.repr(value)
+    return text if len(text) <= _SHOWN else text[: _SHOWN - 3] + "..."
+
+
 def check(value, kind: tuple, *path):
     """`value` if it is of `kind`, a (description, test) pair."""
     if not kind[1](value):
-        raise FieldError(f"{_name(path)} must be {kind[0]}, got {value!r}")
+        raise FieldError(f"{_name(path)} must be {kind[0]}, got {_shown(value)}")
     return value
 
 

@@ -39,7 +39,6 @@ from .models import ModelSpec, get_model, make_input, make_weights
 from .planner import (
     ExchangeStep,
     PartitionPlan,
-    PlanError,
     Recv,
     Role,
     Send,
@@ -99,10 +98,14 @@ def _run_head(model: ModelSpec, weights, x: Tensor) -> np.ndarray:
 
 class _Node:
     """Shared per-node machinery: row exchange and the interpreter of the
-    node's compiled op list. Its trace's times are seconds since the node
-    was made."""
+    node's compiled op list. A node refuses a plan that fails
+    `validate_plan` before it starts its clock. Its trace's times are seconds
+    since the node was made."""
 
     def __init__(self, role, model, weights, plan, transports, timeout, trace):
+        problems = validate_plan(plan, model)
+        if problems:
+            raise SessionError(f"{role.value}: plan does not fit model: {problems[0]}")
         self.role = role
         self.model = model
         self.weights = weights
@@ -110,10 +113,7 @@ class _Node:
         self.timeout = timeout
         self.trace = trace or Timeline()
         self._t0 = time.monotonic()
-        try:
-            self.stages = plan.compiled[role]
-        except PlanError as exc:
-            raise SessionError(f"{role.value}: {exc}") from exc
+        self.stages = plan.compiled[role]
         _, self._heights, _ = model.spatial_geometry
 
     def _record(self, node: str, kind: str, layer: int, rows: int, start: float) -> None:
@@ -210,9 +210,6 @@ def run_host(
     trace: Timeline | None = None,
 ) -> np.ndarray:
     """Distribute the input, co-compute the overlap zones, merge, classify."""
-    problems = validate_plan(plan, model)
-    if problems:
-        raise SessionError(f"plan does not fit model: {problems[0]}")
     if x.shape != model.input_shape:
         raise SessionError(f"input shape {x.shape} does not match model {model.input_shape}")
     node = _Node(Role.HOST, model, weights, plan, transports, timeout, trace)
@@ -422,7 +419,7 @@ def verify_equivalence(
 ) -> tuple[float, np.ndarray]:
     """Distributed `plan` vs monolithic on the same weights; returns (max rel err, output)."""
     weights = make_weights(model, seed)
-    x = make_input(model, seed + 1)
+    x = make_input(model, seed)
     reference = monolithic_infer(model, weights, x)
     distributed, _ = run_local_session(model, weights, plan, x)
     scale = np.maximum(np.abs(reference.astype(np.float64)), 1e-12)

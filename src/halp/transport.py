@@ -7,8 +7,10 @@ TCP sockets set `TCP_NODELAY`, and the reader refuses a header that
 promises more than `framing.MAX_PAYLOAD_BYTES` before reading the payload.
 
 The in-process transport can be rate-limited to model a throughput-bound
-link, priced as `halp.simulate` prices it: each directed link is a FIFO
-that carries one frame at a time for `bits / rate` seconds. `send` stamps
+link, priced almost as `halp.simulate` prices it: each directed link is a
+FIFO that carries one frame at a time for `bits / rate` seconds, where
+`bits` counts the 11-byte header as well as the rows, 88 bits per frame
+more than the simulator's `ExchangeStep.bits`. `send` stamps
 the frame with its arrival time and returns at once, so the sender keeps
 computing while its rows are on the wire; `receive` hands the frame over
 no earlier than that time.

@@ -1,7 +1,6 @@
 """Command-line behaviour: tables against goldens, exit codes, determinism."""
 
 import json
-import re
 from pathlib import Path
 
 import pytest
@@ -80,6 +79,23 @@ def test_infer_local_smoke(capsys):
     )
     assert code == 0
     assert "output vector: 12 values" in out
+
+
+def test_infer_local_prints_what_a_session_of_the_same_seed_computes(capsys):
+    """`--local` draws the weights and the input from `--seed`, as a host
+    session does."""
+    from halp.models import get_model, make_input, make_weights
+    from halp.planner import build_plan
+    from halp.runtime import run_local_session
+
+    options = {"alpha": 0.25, "rho": 160, "base_width": 8, "classes": 12}
+    code, out, _ = run_cli(capsys, "infer", "--local", "mobilenet", "--alpha", "0.25", "--rho",
+                           "160", "--base-width", "8", "--classes", "12", "--seed", "7", "--json")
+    model = get_model("mobilenet", **options)
+    session, _ = run_local_session(model, make_weights(model, 7), build_plan(model),
+                                   make_input(model, 7))
+    assert code == 0
+    assert json.loads(out) == session.tolist()
 
 
 def test_infer_verify_small_vgg(capsys):
@@ -612,27 +628,25 @@ def test_simulate_draws_the_channel_rate_from_the_seed(capsys, tmp_path):
 
 def test_a_plan_that_needs_a_secondary_to_secondary_link_runs_nowhere(capsys, tmp_path):
     """The plan that ownership implies for a host band of [2, 4) at layer 1
-    moves rows from ED1 to ED2 and back. It validates, but no node has that
-    link: compiling it, simulating it and running it in process all refuse
-    it and name the step."""
-    from halp.planner import PlanError, compile_schedule, plan_to_json, validate_plan
+    moves rows from ED1 to ED2 and back, but no node has that link:
+    validation names both steps, and simulating it and running it in
+    process both exit 2 with the same lines."""
+    from halp.planner import plan_to_json, validate_plan
 
     model = build_vgg16(8, 10)
     plan = secondary_to_secondary_plan(model)
-    assert validate_plan(plan, model) == []
-    step = "step before layer 1: ed1 -> ed2 rows [3, 111)"
-    with pytest.raises(PlanError, match=re.escape(step)):
-        compile_schedule(plan)
+    steps = [f"step before layer {layer}: {sender} -> {receiver} rows {rows} "
+             "needs a secondary-to-secondary link"
+             for layer, sender, receiver, rows in [(1, "ed1", "ed2", "[3, 111)"),
+                                                   (2, "ed2", "ed1", "[4, 110)")]]
+    assert validate_plan(plan, model) == steps
 
     path = tmp_path / "plan.json"
     path.write_text(plan_to_json(plan))
     model_args = ("vgg16", "--base-width", "8", "--classes", "10", "--plan", str(path))
-    code, out, err = run_cli(capsys, "simulate", *model_args)
-    assert (code, out) == (1, "")
-    assert err.startswith(f"infeasible plan: {step} ")
-    code, out, err = run_cli(capsys, "infer", *model_args, "--verify")
-    assert (code, out) == (2, "")
-    assert step in err
+    for argv in (("simulate", *model_args), ("infer", *model_args, "--verify")):
+        assert run_cli(capsys, *argv) == (
+            2, "", "\n  ".join(["plan failed validation:", *steps]) + "\n")
 
 
 def test_a_closed_stdout_exits_2_without_a_traceback():

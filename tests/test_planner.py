@@ -1,6 +1,8 @@
 """Partition geometry: recurrence, table reproduction, coverage validation."""
 
 import dataclasses
+import itertools
+import random
 
 import pytest
 
@@ -246,7 +248,7 @@ def test_validator_catches_overlapping_ownership():
         plan.__class__(plan.model_name, 4, (broken,) + plan.parts[1:], plan.exchange_schedule),
         VGG,
     )
-    assert any("tile" in v for v in bad)
+    assert "layer 0: out_ranges[ed1] is (0, 112), ownership implies (0, 111)" in bad
 
 
 def test_validator_catches_a_step_listed_twice():
@@ -401,14 +403,16 @@ def outside_plan(plan):
     return _with_step(plan, step, dataclasses.replace(step, row_start=hi, row_end=hi + 1))
 
 
-def test_compile_rejects_boundary_rows_mid_segment():
-    with pytest.raises(PlanError, match="off both edges"):
-        compile_schedule(mid_segment_plan(build_plan_vgg(VGG, 4)))
-
-
-def test_compile_rejects_rows_outside_the_senders_range():
-    with pytest.raises(PlanError, match="outside owned"):
-        compile_schedule(outside_plan(build_plan_vgg(VGG, 4)))
+@pytest.mark.parametrize("edit", [mid_segment_plan, outside_plan])
+def test_validator_refuses_boundary_rows_mid_segment_or_outside_the_senders_range(edit):
+    """Boundary-rows-first cannot run either plan; `compile_schedule` does
+    not check, so validation must name the edited step."""
+    plan = build_plan_vgg(VGG, 4)
+    broken = edit(plan)
+    (step,) = set(broken.exchange_schedule) - set(plan.exchange_schedule)
+    described = (f"step before layer {step.before_layer}: ed1 -> host "
+                 f"rows [{step.row_start}, {step.row_end})")
+    assert any(p.startswith(described) for p in validate_plan(broken, VGG))
 
 
 def test_compiled_is_built_once_per_plan():
@@ -550,8 +554,6 @@ def oracle_schedule(plan, model):
     labelled with its owner (the host before layer 0, else the owner of
     that row in the previous layer's `out_ranges`), and each run of
     consecutive rows a device needs from one other owner is one step."""
-    import itertools
-
     specs, heights, widths = model.spatial_geometry
     n = len(specs)
     steps = []
@@ -589,8 +591,6 @@ def secondary_to_secondary_plan(model):
 
 def _random_tilings(model, seed, count=20):
     """`count` plans of `model` whose host band at each layer is drawn at random."""
-    import random
-
     rng = random.Random(seed)
     specs, heights, _ = model.spatial_geometry
     for _ in range(count):
@@ -617,3 +617,55 @@ def test_schedule_equals_the_row_by_row_oracle(case):
     independent oracle can see a change in it."""
     plan, model = ORACLE_CASES[case]
     assert list(plan.exchange_schedule) == oracle_schedule(plan, model)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_validator_refuses_a_derived_plan_only_for_its_secondary_to_secondary_steps(case):
+    plan, model = ORACLE_CASES[case]
+    joins = [s for s in plan.exchange_schedule if Role.HOST not in (s.sender, s.receiver)]
+    problems = validate_plan(plan, model)
+    assert len(problems) == len(joins)
+    assert all(p.endswith(" needs a secondary-to-secondary link") for p in problems)
+
+
+def _runnable_tilings(model, seed, count):
+    """`count` plans of `model` whose host band at each layer is drawn at
+    random among those that leave neither secondary needing a row the other
+    owns: plans with no secondary-to-secondary step."""
+    rng = random.Random(seed)
+    specs, heights, _ = model.spatial_geometry
+    while count:
+        bands, (lo, hi) = [], (0, heights[0])  # before layer 0 the host holds every row
+        for spec, h_in, h in zip(specs, heights, heights[1:]):
+            ed1_ends = [a for a in range(1, h - 1)
+                        if receptive_field(spec, (0, a), h_in)[1] <= hi]
+            a = rng.choice(ed1_ends)
+            ed2_starts = [b for b in range(a + 1, h)
+                          if receptive_field(spec, (b, h), h_in)[0] >= lo]
+            if not ed2_starts:
+                break  # no band fits after this one: draw the plan again
+            lo, hi = a, rng.choice(ed2_starts)
+            bands.append((lo, hi))
+        else:
+            count -= 1
+            yield _make_plan(model, 0, bands, [0] * len(specs))
+
+
+def test_a_valid_plans_secondary_sends_lie_on_one_edge_of_its_owned_rows():
+    """What `compile_schedule` does not check: on a plan that validates, the
+    rows a secondary sends after each layer lie inside its owned rows and
+    reach one edge of them, so boundary rows first is one compute before
+    the sends and at most one after."""
+    plans = [(plan, MODELS[plan.model_name]) for plan in CATALOG_PLANS.values()]
+    for seed, model in enumerate([SMALL_VGG, SMALL_MN, build_mobilenet_v1(1.0, 224, 8, 10)]):
+        plans += [(plan, model) for plan in _runnable_tilings(model, seed, count=100)]
+    for plan, model in plans:
+        assert validate_plan(plan, model) == []
+        for layer, part in enumerate(plan.parts):
+            for role in (Role.ED1, Role.ED2):
+                sends = [s for s in steps_before(plan, layer + 1) if s.sender is role]
+                if sends:
+                    lo, hi = min(s.row_start for s in sends), max(s.row_end for s in sends)
+                    first, last = part.out_ranges[role]
+                    assert first <= lo < hi <= last
+                    assert lo == first or hi == last

@@ -34,6 +34,7 @@ from halp.runtime import (
 )
 from halp.simulate import TimingModel, simulate
 from halp.transport import TransportError, inproc_pair
+from test_planner import ONE_FIELD_EDITS, secondary_to_secondary_plan
 from tests_property_helpers import steps_before
 
 
@@ -414,6 +415,30 @@ def test_host_rejects_bad_plan_model_pair():
     with pytest.raises(SessionError):
         run_host(vgg, make_weights(vgg, 0), plan, make_input(vgg, 1),
                  {Role.ED1: a, Role.ED2: b}, timeout=0.5)
+
+
+def _width_edited_plan(model):
+    """A plan every node used to compile and run: one step's width is wrong."""
+    return ONE_FIELD_EDITS["step_width"](build_plan_vgg(model, 4))
+
+
+@pytest.mark.parametrize("make_plan", [_width_edited_plan, secondary_to_secondary_plan])
+@pytest.mark.parametrize("role", [Role.HOST, Role.ED1, Role.ED2])
+def test_each_node_refuses_a_plan_that_fails_validation_before_it_waits(role, make_plan):
+    """No node waits for a frame of a plan that fails validation: each
+    refuses it at once, naming its role, before it reads a weight."""
+    model = build_vgg16(base_width=8, classes=5)
+    plan = make_plan(model)
+    a, _ = inproc_pair()
+    b, _ = inproc_pair()
+    start = time.monotonic()
+    with pytest.raises(SessionError, match=f"^{role.value}: plan does not fit model: step "):
+        if role is Role.HOST:
+            run_host(model, None, plan, make_input(model, 0), {Role.ED1: a, Role.ED2: b},
+                     timeout=5.0)
+        else:
+            run_secondary(role, model, None, plan, a, timeout=5.0)
+    assert time.monotonic() - start < 1.0
 
 
 def test_socket_three_node_session():
