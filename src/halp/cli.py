@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import models as model_lib
-from .fields import NUMBER, parse
+from .fields import COUNT, NUMBER, check, parse
 from .planner import (
     PlanError,
     build_plan,
@@ -77,6 +77,24 @@ def _build_model(args):
         raise _Failure(f"error: {exc}") from None
 
 
+def _seed(text: str) -> int:
+    """`--seed`'s type: an int >= 0 (`COUNT`, a config's rule); argparse lets
+    its `_Failure` pass, so a refusal is one line naming the flag."""
+    try:
+        return check(int(text), COUNT, "--seed")
+    except ValueError:  # not an int, or below 0
+        raise _Failure(f"error: --seed must be {COUNT[0]}, got {text!r}") from None
+
+
+def _write(path: str, text: str) -> None:
+    """Write an output flag's file; a path that cannot be written is a usage failure."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _Failure(f"error: cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _check_rate(rate: float) -> None:
     """A `--rate` must be a positive number of Mbps; `inf` is an unlimited
     link, NaN is refused."""
@@ -129,14 +147,13 @@ def cmd_plan(args) -> None:
     if args.optimize:
         _check_rate(args.rate)
     plan = _plan_for(args, model, args.rate)
+    if args.out:
+        _write(args.out, plan_to_json(plan))
     if args.json:
         print(plan_to_json(plan))
     else:
         render = render_vgg_table if model.name == "vgg16" else render_mobilenet_table
         print(render(plan, model), end="")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(plan_to_json(plan))
 
 
 def cmd_infer(args) -> None:
@@ -153,8 +170,7 @@ def cmd_infer(args) -> None:
         else:
             trace = secondary_session(config)
         if args.event_log:
-            with open(args.event_log, "w") as fh:
-                fh.write(trace.to_json())
+            _write(args.event_log, trace.to_json())
         return
 
     if args.model is None:
@@ -203,8 +219,7 @@ def cmd_simulate(args) -> None:
     makespan_ms = timeline.makespan * 1e3
     gain = t_alone / timeline.makespan
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(timeline.to_csv())
+        _write(args.csv, timeline.to_csv())
     if args.json:
         print(timeline.to_json())
     else:
@@ -231,8 +246,7 @@ def cmd_reliability(args) -> None:
         raise _Failure(f"error: {exc}") from None
     text = reliability_csv(results)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(text)
+        _write(args.csv, text)
     print(text, end="")
 
 
@@ -266,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="node config JSON (for --role)")
     p.add_argument("--plan", help="plan JSON path")
     p.add_argument("--z1", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--event-log",
                    help="write the node's measured timeline, in the JSON of simulate --json")
@@ -280,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=None,
                    help="link throughput in Mbps (default 42, or the calibration file's channel)")
     p.add_argument("--calibration", help="timing calibration JSON")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--csv", help="write the timeline CSV here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simulate)
@@ -291,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", choices=["poor", "medium", "good", "all"], default="all")
     p.add_argument("--deadlines", default="375,425,475,555,700,1000,1400,1800")
     p.add_argument("--tasks", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--csv", help="write the CSV here")
     p.set_defaults(func=cmd_reliability)
     return parser
@@ -301,13 +315,12 @@ def main(argv=None) -> int:
     """Run one command; the one place that turns a failure into its stderr
     message and exit code."""
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)  # a `--seed` refused by its type: a `_Failure`
         args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return EXIT_OK
+    except SystemExit as exc:  # argparse has printed the usage error, or the help
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except _Failure as exc:
         message, code = str(exc), exc.code
     except PlanError as exc:

@@ -40,17 +40,6 @@ class ModelSpec:
     classes: int = 1000
     base_width: int = 0
 
-    def __post_init__(self):
-        ch = self.input_shape[2]
-        for i, spec in enumerate(self.layers):
-            if spec.kind is LayerKind.FULLY_CONNECTED:
-                break
-            if spec.in_channels != ch:
-                raise ValueError(
-                    f"layer {i} expects {spec.in_channels} channels, chain gives {ch}"
-                )
-            ch = spec.out_channels
-
     @property
     def n_spatial(self) -> int:
         """Number of leading layers that operate on H x W x C maps."""

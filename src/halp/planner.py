@@ -260,8 +260,6 @@ def _vgg_blocks(model: ModelSpec) -> list[list[int]]:
         if spec.kind is LayerKind.MAX_POOL:
             blocks.append(cur)
             cur = []
-    if cur:
-        blocks.append(cur)
     return blocks
 
 
@@ -307,9 +305,6 @@ def build_plan_mobilenet(model: ModelSpec) -> PartitionPlan:
     """MobileNet-V1 partition: 5-row host zones at stride-2 depthwise layers,
     4-row zones at stride-1, single ED1-to-host row before each stride-2."""
     specs, heights, _ = model.spatial_geometry
-    if not specs or specs[0].stride != 2:
-        raise PlanError("expected a stride-2 stem convolution")
-
     bands: list[Range] = []
     host_rows: list[int] = []
     last_s2 = max((i for i, s in enumerate(specs)
@@ -324,26 +319,16 @@ def build_plan_mobilenet(model: ModelSpec) -> PartitionPlan:
             host_rows.append(4)
         elif spec.kind is LayerKind.DEPTHWISE_CONV and spec.stride == 1:
             if b - a == 2:
-                downstream_s2 = i < last_s2
-                if downstream_s2:
+                if i < last_s2:
                     na = a - 1 if a % 2 else a - 2  # even start for the next stride-2 zone
                 else:
                     na = a - 1
                 if na >= 1 and na + 4 <= h_in - 1:
                     a, b = na, na + 4
-                elif downstream_s2:
-                    raise PlanError(f"cannot widen host band before layer {i}")
             host_rows.append(4)
-        elif spec.kind is LayerKind.DEPTHWISE_CONV and spec.stride == 2:
-            if b - a != 4 or a % 2:
-                raise PlanError(
-                    f"stride-2 layer {i} needs a 4-row host band starting on an even row, "
-                    f"got [{a}, {b})"
-                )
+        else:  # a stride-2 depthwise: its 4-row band starts on an even row
             a, b = a // 2, a // 2 + 2
             host_rows.append(5)
-        else:
-            raise PlanError(f"unexpected spatial layer kind {spec.kind} at {i}")
         bands.append((a, b))
     return _make_plan(model, 0, bands, host_rows)
 
@@ -440,8 +425,6 @@ def optimize_plan(model: ModelSpec, timing, rate_mbps: float) -> PartitionPlan:
         makespan = simulate(plan, model, timing, rate_mbps).makespan
         if best is None or (makespan, z1) < (best[0], best[1]):
             best = (makespan, z1, plan)
-    if best is None:
-        raise PlanError("no feasible partition for this model")
     return best[2]
 
 

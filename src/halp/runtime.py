@@ -87,12 +87,8 @@ def _run_head(model: ModelSpec, weights, x: Tensor) -> np.ndarray:
         spec = model.layers[i]
         if spec.kind is LayerKind.GLOBAL_AVG_POOL:
             x = global_avg_pool(x)
-        elif spec.kind is LayerKind.FULLY_CONNECTED:
-            vec = fully_connected(x.data if vec is None else vec, weights[i], spec.activation)
         else:
-            raise ValueError(f"unexpected head layer {spec.kind}")
-    if vec is None:
-        raise ValueError("model has no classifier head")
+            vec = fully_connected(x.data if vec is None else vec, weights[i], spec.activation)
     return vec
 
 
@@ -288,13 +284,13 @@ def run_local_session(
 # --- socket deployment ------------------------------------------------------
 
 
-def _session_doc(config: dict, model: ModelSpec, plan: PartitionPlan) -> dict:
+def _session_doc(config: dict, model: ModelSpec, plan: PartitionPlan, seed: int) -> dict:
     """The handshake, with the options of the model `_resolve` built."""
     return {
         "protocol": PROTOCOL_VERSION,
         "model": config["model"],
         **{option: getattr(model, option) for option in _MODEL_OPTIONS},
-        "seed": config.get("seed", 0),
+        "seed": seed,
         "plan": plan_doc(plan),
     }
 
@@ -314,13 +310,15 @@ def load_config(path: str, role: str) -> dict:
     return config
 
 
-def _session_options(config: dict, addresses: tuple[str, ...]) -> tuple[float, int]:
-    """A node config's `timeout_s` and `seed`, once its `host:port` `addresses` read."""
+def _session_options(config: dict, addresses: tuple[str, ...], seed=True) -> tuple:
+    """A node config's `timeout_s`, and its `seed` unless `seed` is false (a
+    secondary takes the handshake's), once its `host:port` `addresses` read."""
     try:
         doc = Fields(config)
         for key in addresses:
             doc.get(key, ADDRESS)
-        return doc.get("timeout_s", DURATION, DEFAULT_TIMEOUT_S), doc.get("seed", COUNT, 0)
+        return (doc.get("timeout_s", DURATION, DEFAULT_TIMEOUT_S),
+                doc.get("seed", COUNT, 0) if seed else None)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -381,7 +379,7 @@ def host_session(config: dict) -> tuple[np.ndarray, Timeline]:
             for t in transports.values():
                 t.close()
             raise SessionError(f"cannot reach {key} at {config[key]}: {exc}") from exc
-    doc = _session_doc(config, model, plan)
+    doc = _session_doc(config, model, plan, seed)
     trace = Timeline()
     try:
         for t in transports.values():
@@ -402,7 +400,7 @@ def secondary_session(config: dict) -> Timeline:
     from .transport import listen_one
 
     role = Role(config["role"])
-    timeout, _ = _session_options(config, ("listen",))
+    timeout, _ = _session_options(config, ("listen",), seed=False)
     transport = listen_one(config["listen"], timeout)
     try:
         model, plan, seed = read_handshake(transport.receive(timeout=timeout), role)

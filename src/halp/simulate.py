@@ -147,8 +147,6 @@ rows_macs = layer_macs  # the name stays only because perfbench/spans.py imports
 
 def compute_time(spec: LayerSpec, rows: int, out_w: int, timing: TimingModel) -> float:
     """Overhead plus the linear MAC term; zero rows cost overhead only."""
-    if rows < 0:
-        raise ValueError("rows must be non-negative")
     return timing.overhead_s + layer_macs(spec, rows, out_w) / timing.mac_rate
 
 
@@ -356,6 +354,4 @@ def default_timing(model_name: str) -> TimingModel:
         entry = cal["vgg16"]
         return TimingModel(entry["mac_rate"], entry["overhead_s"])
     rates = cal["mobilenet"]["mac_rates"]
-    if model_name not in rates:
-        raise KeyError(f"no calibration for {model_name}")
     return TimingModel(rates[model_name], cal["mobilenet"]["overhead_s"])

@@ -43,8 +43,9 @@ ENTRY = {"name": "x", "alpha": 1.0, "rho": 224, "t_standalone_ms": 500, "t_halp_
 BASES = {
     "plan": json.loads(plan_to_json(build_plan_vgg(build_vgg16(8, 10), 68))),
     "host_config": HOST_CONFIG,
-    "secondary_config": {"listen": "127.0.0.1:7698", "timeout_s": 0.3, "seed": 0},
-    "handshake": runtime._session_doc(HOST_CONFIG, *runtime._resolve(HOST_CONFIG)),
+    "secondary_config": {"listen": "127.0.0.1:7698", "timeout_s": 0.3},
+    "handshake": runtime._session_doc(HOST_CONFIG, *runtime._resolve(HOST_CONFIG),
+                                      HOST_CONFIG["seed"]),
     "catalog": {"entries": [ENTRY]},
     "calibration": {"mac_rate": 4.69e9, "overhead_s": 0.0765,
                     "channel": {"lo_mbps": 26, "hi_mbps": 52}},
@@ -74,7 +75,7 @@ def _read_host_config(doc, _):
 READERS = {
     "plan": lambda doc, _: plan_from_json(json.dumps(doc)),
     "host_config": _read_host_config,
-    "secondary_config": lambda doc, _: runtime._session_options(doc, ("listen",)),
+    "secondary_config": lambda doc, _: runtime._session_options(doc, ("listen",), seed=False),
     "handshake": lambda doc, _: runtime.read_handshake(handshake_frame(doc), Role.ED1),
     "catalog": _read_catalog,
     "calibration": _read_calibration,
@@ -122,7 +123,6 @@ LEAVES = {
     "secondary_config": [
         (("listen",), "address", True, ("127.0.0.1",)),
         (("timeout_s",), "duration", False, (0,)),
-        (("seed",), "count", False, (-1,)),
     ],
     "handshake": [
         (("protocol",), "int", True, (1.0, "1")),
@@ -255,6 +255,7 @@ FILES = {
     "MISSING": None,
     "DEEP": DEEP,
     "DEEP_RATE": f'{{"mac_rate": {"[" * 500 + "]" * 500}, "overhead_s": 0}}',
+    "CHANNEL": {**_TIMING, "channel": {"lo_mbps": 26, "hi_mbps": 52}},
     "NOT_A_PLAN": {"model": "vgg16"},
     "FLOAT_ROWS_PLAN": float_rows_plan_doc(build_vgg16(base_width=8)),
     "SHORT_ROWS_PLAN": _plan_edit(lambda d: d["exchange_schedule"][0].update(rows=[1])),
@@ -278,6 +279,19 @@ CLI_CASES = {
         ["simulate", "mobilenet", "--alpha", "0.25", "--rho", "160", "--base-width", "-3"],
         None, 1, "error: base_width must be"),
     "plan-negative-classes": (["plan", "vgg16", "--classes", "-5"], None, 1, "error: classes"),
+    # seeds: the rule of a config's `seed`, checked before any weight is drawn
+    **{f"{name}-seed-{text}": ([*argv, "--seed", text], None, 1,
+                               f"error: --seed must be an int >= 0, got '{text}'\n")
+       for name, argv in [("local", ["infer", "mobilenet", "--local"]),
+                          ("verify", ["infer", "mobilenet", "--verify"]),
+                          ("simulate", ["simulate", "mobilenet", "--calibration", "CHANNEL"]),
+                          ("reliability", ["reliability", "--tasks", "10"])]
+       for text in ("-1", "x")},
+    # output paths
+    **{f"{name}-unwritable": ([*argv, flag, "UNWRITABLE"], None, 1, "error: cannot write ")
+       for name, argv, flag in [("plan", ["plan", *_VGG8], "--out"),
+                                ("simulate", ["simulate", *_VGG8], "--csv"),
+                                ("reliability", ["reliability", "--tasks", "10"], "--csv")]},
     # calibrations
     "simulate-no-calibration": (["simulate", "vgg16", "--calibration", "MISSING"], None, 1,
                                 "error: cannot read calibration: "),
@@ -424,7 +438,8 @@ CLI_CASES = {
 @pytest.mark.parametrize("argv, doc, code, start", list(CLI_CASES.values()), ids=list(CLI_CASES))
 def test_a_refused_document_exits_with_one_line_and_its_code(capsys, tmp_path, argv, doc, code,
                                                              start):
-    paths = {"MISSING": str(tmp_path / "missing.json")}
+    paths = {"MISSING": str(tmp_path / "missing.json"),
+             "UNWRITABLE": str(tmp_path / "no-such-directory" / "out")}
     for name, content in {**FILES, "FILE": doc}.items():
         if content is not None:
             (tmp_path / f"{name}.json").write_text(
@@ -452,7 +467,7 @@ def test_a_handshake_nested_too_deeply_exits_2_as_a_malformed_handshake(capsys, 
 
 def test_the_handshake_embeds_the_plan_document_as_plan_to_json_writes_it():
     model, plan = runtime._resolve(HOST_CONFIG)
-    doc = runtime._session_doc(HOST_CONFIG, model, plan)
+    doc = runtime._session_doc(HOST_CONFIG, model, plan, HOST_CONFIG["seed"])
     assert doc["plan"] == json.loads(plan_to_json(plan))
     # the handshake bytes built before the plan skipped its JSON round trip
     payload = handshake_frame(doc).payload

@@ -140,7 +140,7 @@ def test_builtin_frames_and_handshakes_fit_under_the_cap():
     sizes = {}  # (model, z1) -> (largest scheduled payload, handshake payload)
     for config, plan in _builtin_plans():
         frame = max(s.bits // 8 for s in plan.exchange_schedule)
-        handshake = len(handshake_frame(_session_doc(config, _resolve(config)[0], plan)).payload)
+        handshake = len(handshake_frame(_session_doc(config, _resolve(config)[0], plan, 0)).payload)
         sizes[plan.model_name, plan.z1] = (frame, handshake)
     assert ("vgg16", 4) in sizes and ("vgg16", 68) in sizes
     assert sizes["MobileNet_v1_1.0_224", 0][0] == 111 * 224 * 3 * 4  # first input segment

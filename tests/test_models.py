@@ -17,6 +17,7 @@ from halp.models import (
     make_input,
     make_weights,
 )
+from halp.planner import build_plan, validate_plan
 from halp.runtime import monolithic_infer
 
 ALL_MODELS = [build_vgg16()] + [build_mobilenet_v1(a, r) for a in MOBILENET_ALPHAS
@@ -163,6 +164,35 @@ def test_all_variants_run_monolithic():
 def test_get_model_width_0_is_the_family_default():
     assert get_model("vgg16", base_width=0) == build_vgg16()
     assert get_model("mobilenet", 0.5, 160, base_width=0) == build_mobilenet_v1(0.5, 160)
+
+
+_MODEL_GRID = [("vgg16", 1.0, 224)] + [("mobilenet", a, r) for a in MOBILENET_ALPHAS
+                                        for r in MOBILENET_RHOS]
+
+
+@pytest.mark.parametrize("classes", [1, 10])
+@pytest.mark.parametrize("base_width", [1, 3, 8, 0])
+@pytest.mark.parametrize("name, alpha, rho", _MODEL_GRID)
+def test_every_buildable_model_chains_its_channels_and_splits(name, alpha, rho, base_width,
+                                                               classes):
+    """The builders' invariants, over `get_model`'s whole option grid: each
+    layer reads the channels the previous one writes, the head is GAP + FC
+    or three FCs fed the whole last map, and the model's plan validates."""
+    model = get_model(name, alpha, rho, base_width, classes)
+    specs, heights, widths = model.spatial_geometry
+    ch = 3
+    for i, spec in enumerate(specs):
+        assert spec.in_channels == ch, i
+        ch = spec.out_channels
+    head = model.layers[len(specs):]
+    kinds = [spec.kind for spec in head]
+    assert kinds in ([LayerKind.GLOBAL_AVG_POOL, LayerKind.FULLY_CONNECTED],
+                     [LayerKind.FULLY_CONNECTED] * 3)
+    flat = ch if kinds[0] is LayerKind.GLOBAL_AVG_POOL else heights[-1] * widths[-1] * ch
+    fc = next(spec for spec in head if spec.kind is LayerKind.FULLY_CONNECTED)
+    assert fc.in_channels == flat
+    assert head[-1].out_channels == classes
+    assert validate_plan(build_plan(model), model) == []
 
 
 @pytest.mark.parametrize("in_ch, out_ch", [(0, 4), (4, 0), (-3, 4), (4, -3)])

@@ -729,7 +729,7 @@ def test_secondary_rejects_other_protocol_version(monkeypatch, port, version):
     server = threading.Thread(target=serve)
     server.start()
     config = {"model": "mobilenet", "alpha": 0.5, "rho": 160, "base_width": 8, "classes": 5}
-    doc = runtime._session_doc(config, *runtime._resolve(config))
+    doc = runtime._session_doc(config, *runtime._resolve(config), 0)
     assert doc.pop("protocol") == runtime.PROTOCOL_VERSION
     if version is not None:
         doc["protocol"] = version
