@@ -127,7 +127,9 @@ def _plan_for(args, model, rate: float | None = None, timing: TimingModel | None
     if getattr(args, "plan", None):
         try:
             with open(args.plan) as fh:
-                plan = plan_from_json(fh.read())
+                plan = plan_from_json(fh.read(), model)
+        except PlanError as exc:  # it reads, but names another model or a band it cannot have
+            raise _invalid([str(exc)]) from None
         except (OSError, ValueError) as exc:
             raise _Failure(f"error: cannot read plan: {type(exc).__name__}: {exc}") from None
     elif getattr(args, "optimize", False):
@@ -138,8 +140,12 @@ def _plan_for(args, model, rate: float | None = None, timing: TimingModel | None
         plan = build_plan(model, args.z1)
     problems = validate_plan(plan, model)
     if problems:
-        raise _Failure("\n  ".join(["plan failed validation:", *problems]), EXIT_RUNTIME)
+        raise _invalid(problems)
     return plan
+
+
+def _invalid(problems: list[str]) -> _Failure:
+    return _Failure("\n  ".join(["plan failed validation:", *problems]), EXIT_RUNTIME)
 
 
 def cmd_plan(args) -> None:
@@ -164,6 +170,8 @@ def cmd_infer(args) -> None:
         if not args.config:
             raise _Failure("infer --role needs --config")
         config = load_config(args.config, args.role)
+        if args.event_log:
+            _write(args.event_log, "")  # an unwritable path fails before the session, not after
         if args.role == "host":
             out, trace = host_session(config)
             _print_vector(out, args)

@@ -5,9 +5,10 @@ contiguous ranges — ED1 [0, a), host [a, b), ED2 [b, H). The planner only
 decides ownership; every exchange (including the initial input segments and
 the final merge) is then *derived* from receptive-field math: whatever input
 rows a device needs but does not own must come from the device that owns
-them. The validator re-derives the plan from its ownership and reports
-where the two differ, and `compile_schedule` fixes the order in which each
-node receives, computes and sends, for the runtime and the simulator alike.
+them. A plan is the derivation of its host bands (`_make_plan`): a plan
+document holds only the bands, and `read_plan` derives the rest.
+`compile_schedule` fixes the order in which each node receives, computes
+and sends, for the runtime and the simulator alike.
 
 VGG-16: the host band stays (z-2) rows wide through a block's convolutions
 (z input rows), and a max-pool maps ownership [a, b) to
@@ -29,7 +30,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import groupby
 
-from .fields import INT, PAIR, STRING, Fields, one_of, parse
+from .fields import INT, PAIR, STRING, Fields, parse
 from .layers import LayerKind, receptive_field
 from .models import ModelSpec
 
@@ -41,7 +42,6 @@ class Role(Enum):
 
 
 ROLES = (Role.HOST, Role.ED1, Role.ED2)
-_ROLE = one_of(*(role.value for role in ROLES))  # a role's name in a plan document
 
 Range = tuple[int, int]
 
@@ -307,8 +307,8 @@ def build_plan_mobilenet(model: ModelSpec) -> PartitionPlan:
     specs, heights, _ = model.spatial_geometry
     bands: list[Range] = []
     host_rows: list[int] = []
-    last_s2 = max((i for i, s in enumerate(specs)
-                   if s.kind is LayerKind.DEPTHWISE_CONV and s.stride == 2), default=-1)
+    last_s2 = max(i for i, s in enumerate(specs)
+                  if s.kind is LayerKind.DEPTHWISE_CONV and s.stride == 2)
     m = heights[0] // 2  # image half boundary
     a, b = m // 2 - 1, m // 2 + 1  # stem band: 2 rows, 5-row zone leaning to ED1
     bands.append((a, b))
@@ -340,67 +340,25 @@ def build_plan(model: ModelSpec, z1: int = 4) -> PartitionPlan:
 
 
 def validate_plan(plan: PartitionPlan, model: ModelSpec) -> list[str]:
-    """Empty list iff `plan` can run: it is the plan its own host bands
-    imply for `model`, and every step is to or from the host, since the two
-    secondaries have no link. `compile_schedule` checks nothing of this.
-
-    The plan is rebuilt from each layer's host band [a, b), with
-    0 < a < b < H, and each field where the two differ is reported, ED1's
-    [0, a) and ED2's [b, H) included. `z1` and `host_rows` are builder
-    labels that no interpreter reads: they are carried into the rebuild,
-    not checked.
-    """
-    if plan.model_name != model.name:
-        return [f"plan is for model {plan.model_name!r}, not {model.name!r}"]
-    n = len(model.spatial_geometry[0])
-    if len(plan.parts) != n:
-        return [f"plan has {len(plan.parts)} layers, model has {n} spatial layers"]
-    bands = [part.out_ranges[Role.HOST] for part in plan.parts]
-    try:
-        derived = _make_plan(model, plan.z1, bands, [part.host_rows for part in plan.parts])
-    except PlanError as exc:
-        return [str(exc)]
-    problems = []
-    for i, (part, want) in enumerate(zip(plan.parts, derived.parts)):
-        if part != want:
-            fields = [(name, getattr(part, name), getattr(want, name))
-                      for name in ("index", "in_height", "out_height")]
-            fields += [(f"{name}[{dev.value}]", getattr(part, name).get(dev),
-                        getattr(want, name)[dev])
-                       for name in ("out_ranges", "in_ranges") for dev in ROLES]
-            problems += [f"layer {i}: {name} is {got}, ownership implies {expect}"
-                         for name, got, expect in fields if got != expect]
-    if plan.exchange_schedule != derived.exchange_schedule:
-        problems += _schedule_problems(plan.exchange_schedule, derived.exchange_schedule)
-    problems += [f"{_describe(s)} needs a secondary-to-secondary link"
-                 for s in plan.exchange_schedule if Role.HOST not in (s.sender, s.receiver)]
-    return problems
+    """Empty list iff `plan` can run on `model`: it names the model, it
+    partitions each spatial layer, and every step is to or from the host,
+    since the two secondaries have no link. Every other field of a plan is
+    the derivation of its host bands (`_make_plan`), so it holds by
+    construction. `compile_schedule` checks nothing of this."""
+    problem = _model_problem(plan.model_name, plan.n_spatial, model)
+    if problem:
+        return [problem]
+    return [f"{_describe(s)} needs a secondary-to-secondary link"
+            for s in plan.exchange_schedule if Role.HOST not in (s.sender, s.receiver)]
 
 
-def _schedule_problems(
-    given: tuple[ExchangeStep, ...], derived: tuple[ExchangeStep, ...]
-) -> list[str]:
-    """Each step of `given` that `derived` lacks, repeats or differs from,
-    and each derived step `given` lacks. The derivation moves at most one
-    range per link and layer, so that pair names a step."""
-    want = {(s.before_layer, s.sender, s.receiver): s for s in derived}
-    seen = set()
-    problems = []
-    for step in given:
-        key = (step.before_layer, step.sender, step.receiver)
-        ref = want.get(key)
-        if key in seen:
-            problems.append(f"{_describe(step)} listed twice")
-        elif ref is None:
-            problems.append(f"{_describe(step)} is not implied by ownership")
-        else:
-            fields = [("rows", [step.row_start, step.row_end], [ref.row_start, ref.row_end]),
-                      ("width", step.width, ref.width), ("channels", step.channels, ref.channels)]
-            problems += [f"{_describe(step)}: {name} {got}, ownership implies {expect}"
-                         for name, got, expect in fields if got != expect]
-        seen.add(key)
-    problems += [f"{_describe(s)} is missing" for key, s in want.items() if key not in seen]
-    return problems or ["exchange schedule lists the derived steps in another order"]
+def _model_problem(name: str, layers: int, model: ModelSpec) -> str | None:
+    """Why a plan named `name` with `layers` partitions is not `model`'s, if it is not."""
+    if name != model.name:
+        return f"plan is for model {name!r}, not {model.name!r}"
+    if layers != model.n_spatial:
+        return f"plan has {layers} layers, model has {model.n_spatial} spatial layers"
+    return None
 
 
 def _describe(step: ExchangeStep) -> str:
@@ -432,32 +390,13 @@ def optimize_plan(model: ModelSpec, timing, rate_mbps: float) -> PartitionPlan:
 
 
 def plan_doc(plan: PartitionPlan) -> dict:
-    """The plan as the JSON document `plan_to_json` writes and a handshake holds."""
+    """The plan as the JSON document `plan_to_json` writes and a handshake
+    holds: each layer's host band, from which `read_plan` derives the rest."""
     return {
         "model": plan.model_name,
         "z1": plan.z1,
-        "layers": [
-            {
-                "layer": p.index,
-                "in_height": p.in_height,
-                "out_height": p.out_height,
-                "host_rows": p.host_rows,
-                "out_ranges": {dev.value: list(p.out_ranges[dev]) for dev in ROLES},
-                "in_ranges": {dev.value: list(p.in_ranges[dev]) for dev in ROLES},
-            }
-            for p in plan.parts
-        ],
-        "exchange_schedule": [
-            {
-                "before_layer": s.before_layer,
-                "sender": s.sender.value,
-                "receiver": s.receiver.value,
-                "rows": [s.row_start, s.row_end],
-                "width": s.width,
-                "channels": s.channels,
-            }
-            for s in plan.exchange_schedule
-        ],
+        "layers": [{"host_rows": p.host_rows, "host": list(p.out_ranges[Role.HOST])}
+                   for p in plan.parts],
     }
 
 
@@ -465,35 +404,26 @@ def plan_to_json(plan: PartitionPlan) -> str:
     return json.dumps(plan_doc(plan), indent=2)
 
 
-def plan_from_json(text: str) -> PartitionPlan:
-    """The plan `plan_to_json` wrote. Raises `ValueError` for text that is
-    not JSON, and `FieldError` (a `ValueError`) for a document nested too
-    deeply or naming the first field that is missing or not of its kind:
-    every number must be an int, every range a pair of ints, and every range
-    map keyed by exactly host, ed1 and ed2."""
-    return read_plan(parse(text))
+def plan_from_json(text: str, model: ModelSpec) -> PartitionPlan:
+    """The plan for `model` that `plan_to_json` wrote. Raises `ValueError`
+    for text that is not JSON, and as `read_plan` does."""
+    return read_plan(parse(text), model)
 
 
-def read_plan(doc: Fields) -> PartitionPlan:
-    """The plan in a plan document's fields, which a handshake holds under `plan`."""
-
-    def ranges(item: Fields, key: str) -> dict[Role, Range]:
-        owned = item.object(key, keys=_ROLE)
-        return {role: tuple(owned.get(role.value, PAIR)) for role in ROLES}
-
-    parts = tuple(
-        LayerPartition(*(item.get(k, INT) for k in ("layer", "in_height", "out_height")),
-                       ranges(item, "out_ranges"), ranges(item, "in_ranges"),
-                       item.get("host_rows", INT))
-        for item in doc.objects("layers")
-    )
-    schedule = tuple(
-        ExchangeStep(item.get("before_layer", INT), Role(item.get("sender", _ROLE)),
-                     Role(item.get("receiver", _ROLE)), *item.get("rows", PAIR),
-                     item.get("width", INT), item.get("channels", INT))
-        for item in doc.objects("exchange_schedule")
-    )
-    return PartitionPlan(doc.get("model", STRING), doc.get("z1", INT), parts, schedule)
+def read_plan(doc: Fields, model: ModelSpec) -> PartitionPlan:
+    """The plan for `model` whose host bands a plan document holds, as a
+    handshake does under `plan`. A field missing or not of its kind (every
+    number an int, every band a pair of ints) is a `FieldError`; a document
+    for another model or layer count, or a band that leaves a secondary no
+    rows, is a `PlanError`. Both are `ValueError`s."""
+    layers = doc.objects("layers")
+    bands = [tuple(item.get("host", PAIR)) for item in layers]
+    host_rows = [item.get("host_rows", INT) for item in layers]
+    name, z1 = doc.get("model", STRING), doc.get("z1", INT)
+    problem = _model_problem(name, len(layers), model)
+    if problem:
+        raise PlanError(problem)
+    return _make_plan(model, z1, bands, host_rows)
 
 
 def render_vgg_table(plan: PartitionPlan, model: ModelSpec) -> str:

@@ -39,6 +39,7 @@ from .models import ModelSpec, get_model, make_input, make_weights
 from .planner import (
     ExchangeStep,
     PartitionPlan,
+    PlanError,
     Recv,
     Role,
     Send,
@@ -53,7 +54,7 @@ from .tensor import Tensor
 from .transport import TransportError, TransportTimeout, inproc_pair
 
 DEFAULT_TIMEOUT_S = 30.0
-PROTOCOL_VERSION = 1  # of the handshake document and the frames that follow it
+PROTOCOL_VERSION = 2  # of the handshake document and the frames that follow it
 
 NODE_IDS = {Role.HOST: 0, Role.ED1: 1, Role.ED2: 2}
 NODE_BY_ID = {v: k for k, v in NODE_IDS.items()}
@@ -325,7 +326,9 @@ def _session_options(config: dict, addresses: tuple[str, ...], seed=True) -> tup
 
 def _resolve(config: dict) -> tuple[ModelSpec, PartitionPlan]:
     """The model and plan a host config names; options it omits take
-    `get_model`'s defaults."""
+    `get_model`'s defaults. A config the session cannot use is a
+    `ConfigError`; a plan file that reads but does not fit the model is a
+    `SessionError`, before any secondary is dialled."""
     options = {k: config[k] for k in _MODEL_OPTIONS if k in config}
     try:
         doc = Fields(config)
@@ -334,7 +337,10 @@ def _resolve(config: dict) -> tuple[ModelSpec, PartitionPlan]:
         if plan_path is None:
             return model, build_plan(model, doc.get("z1", INT, 4))
         with open(plan_path) as fh:
-            return model, plan_from_json(fh.read())
+            try:
+                return model, plan_from_json(fh.read(), model)
+            except PlanError as exc:  # it reads, but does not fit: as every node refuses it
+                raise SessionError(f"host: plan does not fit model: {exc}") from exc
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
 
@@ -348,7 +354,9 @@ def read_handshake(frame: Frame, role: Role) -> tuple[ModelSpec, PartitionPlan, 
         version = doc.get("protocol", INT)
         if version == PROTOCOL_VERSION:  # another version's document is read no further
             model = get_model(doc.get("model", STRING), **{k: doc.get(k) for k in _MODEL_OPTIONS})
-            seed, plan = doc.get("seed", COUNT), read_plan(doc.object("plan"))
+            seed, plan = doc.get("seed", COUNT), read_plan(doc.object("plan"), model)
+    except PlanError as exc:  # the plan reads, but not for the handshake's model
+        raise SessionError(f"{role.value}: handshake plan does not fit model: {exc}") from exc
     except ValueError as exc:
         raise SessionError(f"{role.value}: malformed handshake: {exc!r}") from exc
     if version != PROTOCOL_VERSION:

@@ -67,7 +67,7 @@ def test_plan_json_roundtrips(capsys, tmp_path):
     assert code == 0
     from halp.planner import plan_from_json
 
-    plan = plan_from_json(out_path.read_text())
+    plan = plan_from_json(out_path.read_text(), build_vgg16())
     assert plan.z1 == 4
     assert json.loads(out)["model"] == "vgg16"
 
@@ -650,8 +650,8 @@ def test_a_plan_that_needs_a_secondary_to_secondary_link_runs_nowhere(capsys, tm
 
 
 def test_a_closed_stdout_exits_2_without_a_traceback():
-    """`halp plan mobilenet --json | head -1`: the reader leaves after the
-    first line. The pipe holds one page of the 20 KB document, so the
+    """`halp simulate mobilenet --json | head -1`: the reader leaves after the
+    first line. The pipe holds one page of the 30 KB document, so the
     command is still writing when the reader closes it."""
     import fcntl
     import os
@@ -661,10 +661,33 @@ def test_a_closed_stdout_exits_2_without_a_traceback():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     read_end, write_end = os.pipe()
     fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
-    proc = subprocess.Popen([sys.executable, "-m", "halp.cli", "plan", "mobilenet", "--json"],
+    proc = subprocess.Popen([sys.executable, "-m", "halp.cli", "simulate", "mobilenet", "--json"],
                             stdout=write_end, stderr=subprocess.PIPE, env=env)
     os.close(write_end)
     with os.fdopen(read_end, "rb", buffering=0) as reader:
         assert reader.readline() == b"{\n"
     _, err = proc.communicate(timeout=30)
     assert (proc.returncode, err) == (2, b"")
+
+
+@pytest.mark.parametrize("role, config", [
+    ("host", {"model": "mobilenet", "alpha": 0.25, "rho": 160, "base_width": 8, "classes": 5,
+              "ed1": "127.0.0.1:7698", "ed2": "127.0.0.1:7699", "timeout_s": 0.3}),
+    ("ed1", {"listen": "127.0.0.1:7698", "timeout_s": 0.3}),
+])
+def test_an_unwritable_event_log_exits_1_before_the_session(capsys, tmp_path, monkeypatch,
+                                                            role, config):
+    """The `--event-log` path is opened before the node dials or listens,
+    so a node never runs, or serves, a session whose trace it cannot keep."""
+    from halp import transport
+
+    opened = []
+    monkeypatch.setattr(transport, "connect", lambda *a, **k: opened.append(a))
+    monkeypatch.setattr(transport, "listen_one", lambda *a, **k: opened.append(a))
+    path = tmp_path / "node.json"
+    path.write_text(json.dumps(config))
+    log = tmp_path / "no-such-directory" / "trace.json"
+    code, out, err = run_cli(capsys, "infer", "--role", role, "--config", str(path),
+                             "--event-log", str(log))
+    assert (code, out, opened) == (1, "", [])
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {log}: ")

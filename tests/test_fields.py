@@ -2,8 +2,9 @@
 each field of each kind of document to each wrong kind the field refuses,
 and checks that the refusal is a `FieldError` whose message starts with
 the field's path. A table of CLI cases per kind of document checks the
-exit code and the single stderr line, also for refusals of values rather
-than kinds, which the objects built from the fields make."""
+exit code and the single stderr line (a failed validation's heading adds
+one), also for refusals of values rather than kinds, which the objects
+built from the fields make."""
 
 import copy
 import hashlib
@@ -20,7 +21,7 @@ from halp.models import build_vgg16, get_model
 from halp.planner import Role, build_plan_vgg, plan_from_json, plan_to_json
 from halp.selector import load_catalog
 from test_cli import _ed1_given_handshake, run_cli
-from test_planner import float_rows_plan_doc
+from test_planner import derived_plan_doc, float_rows_plan_doc
 
 # Each wrong value the sweep tries, by the JSON text that writes it.
 WRONG = {"x": "x", "true": True, "1.5": 1.5, "2.0": 2.0, "NaN": math.nan,
@@ -30,7 +31,7 @@ WRONG = {"x": "x", "true": True, "1.5": 1.5, "2.0": 2.0, "NaN": math.nan,
 # `unknown` field is a key its object may not hold.
 ACCEPTS = {
     "int": set(), "count": set(), "positive_int": set(), "address": set(), "pair": set(),
-    "pair_item": set(), "role": set(), "unknown": set(), "number": {"1.5", "2.0", "Infinity"},
+    "pair_item": set(), "unknown": set(), "number": {"1.5", "2.0", "Infinity"},
     "duration": {"1.5", "2.0"}, "string": {"x"}, "object": {"{}"}, "list": {"[]"},
 }
 MISSING = object()
@@ -40,8 +41,9 @@ HOST_CONFIG = {"model": "mobilenet", "alpha": 0.25, "rho": 160, "base_width": 8,
                "timeout_s": 0.3}
 ENTRY = {"name": "x", "alpha": 1.0, "rho": 224, "t_standalone_ms": 500, "t_halp_ms": 300,
          "top1_accuracy": 0.7}
+PLAN_MODEL = build_vgg16(8, 10)
 BASES = {
-    "plan": json.loads(plan_to_json(build_plan_vgg(build_vgg16(8, 10), 68))),
+    "plan": json.loads(plan_to_json(build_plan_vgg(PLAN_MODEL, 68))),
     "host_config": HOST_CONFIG,
     "secondary_config": {"listen": "127.0.0.1:7698", "timeout_s": 0.3},
     "handshake": runtime._session_doc(HOST_CONFIG, *runtime._resolve(HOST_CONFIG),
@@ -73,7 +75,7 @@ def _read_host_config(doc, _):
 
 # kind of document -> a call that reads it, raising on a refusal
 READERS = {
-    "plan": lambda doc, _: plan_from_json(json.dumps(doc)),
+    "plan": lambda doc, _: plan_from_json(json.dumps(doc), PLAN_MODEL),
     "host_config": _read_host_config,
     "secondary_config": lambda doc, _: runtime._session_options(doc, ("listen",), seed=False),
     "handshake": lambda doc, _: runtime.read_handshake(handshake_frame(doc), Role.ED1),
@@ -83,8 +85,6 @@ READERS = {
     "mobilenet_options": lambda doc, _: get_model("mobilenet", **doc),
 }
 
-_PLAN_INTS = ("layer", "in_height", "out_height", "host_rows")
-_STEP_INTS = ("before_layer", "width", "channels")
 _OPTIONS = [(("alpha",), "number", ()), (("rho",), "int", ()), (("base_width",), "count", (-3,)),
             (("classes",), "positive_int", (0, -5))]
 
@@ -95,20 +95,10 @@ LEAVES = {
         (("z1",), "int", True, ()),
         (("layers",), "list", True, ()),
         (("layers", 0), "object", False, ()),
-        *[(("layers", 0, key), "int", True, ()) for key in _PLAN_INTS],
-        *[(("layers", 0, key), "object", True, ()) for key in ("out_ranges", "in_ranges")],
-        *[(("layers", 0, "out_ranges", role), "pair", True, ([0, 1, 2],))
-          for role in ("host", "ed1", "ed2")],
-        (("layers", 0, "out_ranges", "ed3"), "unknown", False, ([0, 1],)),  # no role has it
-        (("layers", 0, "out_ranges", "ed1", 0), "pair_item", True, (0.0,)),
-        (("layers", 0, "in_ranges", "ed1", 1), "pair_item", True, (False,)),
-        (("exchange_schedule",), "list", True, ()),
-        (("exchange_schedule", 0), "object", False, ()),
-        *[(("exchange_schedule", 0, key), "int", True, (False,)) for key in _STEP_INTS],
-        *[(("exchange_schedule", 0, key), "role", True, ("ed3", "HOST"))
-          for key in ("sender", "receiver")],
-        (("exchange_schedule", 0, "rows"), "pair", True, ([0, 112, 999],)),
-        (("exchange_schedule", 0, "rows", 0), "pair_item", True, (0.0,)),
+        (("layers", 0, "host_rows"), "int", True, ()),
+        (("layers", 0, "host"), "pair", True, ([0, 1, 2],)),
+        (("layers", 0, "host", 0), "pair_item", True, (0.0,)),
+        (("layers", 0, "host", 1), "pair_item", True, (False,)),
     ],
     "host_config": [
         (("model",), "string", True, ()),
@@ -130,9 +120,9 @@ LEAVES = {
         *[(path, kind, True, extra) for path, kind, extra in _OPTIONS],
         (("seed",), "count", True, (-1,)),
         (("plan",), "object", True, ()),
-        (("plan", "exchange_schedule"), "list", True, ()),
+        (("plan", "layers"), "list", True, ()),
         (("plan", "layers", 0, "host_rows"), "int", True, ()),
-        (("plan", "exchange_schedule", 0, "rows"), "pair", True, ()),
+        (("plan", "layers", 0, "host"), "pair", True, ()),
     ],
     "catalog": [
         (("entries",), "list", True, ()),
@@ -211,8 +201,8 @@ def test_each_wrong_kind_of_each_field_is_refused_by_its_path(doc_kind, path, va
 
 def test_a_handshake_of_another_protocol_version_is_not_read_further():
     doc = copy.deepcopy(BASES["handshake"])
-    doc["protocol"], doc["seed"] = 2, "x"
-    with pytest.raises(runtime.SessionError, match=r"^ed1: handshake protocol 2, this node"):
+    doc["protocol"], doc["seed"] = 1, "x"
+    with pytest.raises(runtime.SessionError, match=r"^ed1: handshake protocol 1, this node"):
         runtime.read_handshake(handshake_frame(doc), Role.ED1)
 
 
@@ -235,7 +225,7 @@ _TIMING = {"mac_rate": 4.69e9, "overhead_s": 0.0765}
 
 
 def _plan_edit(edit):
-    doc = json.loads(plan_to_json(build_plan_vgg(build_vgg16(8, 10), 4)))
+    doc = json.loads(plan_to_json(build_plan_vgg(PLAN_MODEL, 4)))
     edit(doc)
     return doc
 
@@ -258,9 +248,11 @@ FILES = {
     "CHANNEL": {**_TIMING, "channel": {"lo_mbps": 26, "hi_mbps": 52}},
     "NOT_A_PLAN": {"model": "vgg16"},
     "FLOAT_ROWS_PLAN": float_rows_plan_doc(build_vgg16(base_width=8)),
-    "SHORT_ROWS_PLAN": _plan_edit(lambda d: d["exchange_schedule"][0].update(rows=[1])),
-    "THREE_ROWS_PLAN": _plan_edit(lambda d: d["exchange_schedule"][0]["rows"].append(999)),
-    "PLAN_WITHOUT_ED2": _plan_edit(lambda d: d["layers"][0]["out_ranges"].pop("ed2")),
+    "SHORT_ROWS_PLAN": _plan_edit(lambda d: d["layers"][0].update(host=[1])),
+    "THREE_ROWS_PLAN": _plan_edit(lambda d: d["layers"][0]["host"].append(999)),
+    "NO_ED1_ROWS_PLAN": _plan_edit(lambda d: d["layers"][0].update(host=[0, 113])),
+    # the layout plan files had before they held only the host bands
+    "OLD_FORMAT_PLAN": derived_plan_doc(build_plan_vgg(PLAN_MODEL, 4)),
 }
 _VGG8 = ("vgg16", "--base-width", "8", "--classes", "10")
 
@@ -346,16 +338,19 @@ CLI_CASES = {
                                    "error: cannot read plan: FieldError: layers is missing"),
     "simulate-plan-with-short-rows": (
         ["simulate", *_VGG8, "--plan", "SHORT_ROWS_PLAN"], None, 1,
-        "error: cannot read plan: FieldError: exchange_schedule[0].rows must be a pair of ints"),
+        "error: cannot read plan: FieldError: layers[0].host must be a pair of ints, got [1]"),
     "infer-plan-with-short-rows": (["infer", *_VGG8, "--plan", "SHORT_ROWS_PLAN", "--verify"],
                                    None, 1, "error: cannot read plan: "),
     "simulate-plan-with-three-rows": (["simulate", *_VGG8, "--plan", "THREE_ROWS_PLAN"], None, 1,
-                                      "error: cannot read plan: FieldError: exchange_schedule[0]"),
+                                      "error: cannot read plan: FieldError: layers[0].host must"),
     "simulate-deep-plan": (["simulate", *_VGG8, "--plan", "DEEP"], None, 1,
                            f"error: cannot read plan: {TOO_DEEP}"),
-    "simulate-plan-without-a-role": (
-        ["simulate", *_VGG8, "--plan", "PLAN_WITHOUT_ED2"], None, 1,
-        "error: cannot read plan: FieldError: layers[0].out_ranges.ed2 is missing"),
+    "simulate-old-format-plan": (
+        ["simulate", *_VGG8, "--plan", "OLD_FORMAT_PLAN"], None, 1,
+        "error: cannot read plan: FieldError: layers[0].host is missing\n"),
+    "simulate-plan-leaving-ed1-no-rows": (
+        ["simulate", *_VGG8, "--plan", "NO_ED1_ROWS_PLAN"], None, 2,
+        "plan failed validation:\n  layer 0: host band [0, 113) leaves no rows for a secondary"),
     # catalogs
     "catalog-entry-without-fields": (["reliability", "--catalog", "FILE"],
                                      {"entries": [{"name": "x"}]}, 1,
@@ -420,7 +415,7 @@ CLI_CASES = {
            ("seed-a-string", {"seed": "3"}, "seed must be an int >= 0, got '3'"),
            ("plan-with-float-rows",
             {"model": "vgg16", "base_width": 8, "plan_path": "FLOAT_ROWS_PLAN"},
-            "FieldError: exchange_schedule[0].rows must be a pair of ints"),
+            "FieldError: layers[0].host must be a pair of ints"),
            ("classes-a-float", {"classes": 2.5}, "FieldError: classes must be an int >= 1"),
            ("width-a-bool", {"base_width": True}, "FieldError: base_width must be an int"),
            ("rho-a-float", {"rho": 224.0}, "FieldError: rho must be an int, got 224.0"),
@@ -432,6 +427,11 @@ CLI_CASES = {
            ("plan-path-a-list", {"plan_path": []}, "FieldError: plan_path must be"),
            ("plan-path-7", {"plan_path": 7}, "FieldError: plan_path must be a non-empty"),
        ]},
+    # a plan file that reads but does not fit fails as every node refuses it, before any dial
+    "host-plan-leaving-ed1-no-rows": (
+        ["infer", "--role", "host", "--config", "FILE"],
+        _host(model="vgg16", base_width=8, classes=10, plan_path="NO_ED1_ROWS_PLAN"), 2,
+        "session failed: host: plan does not fit model: layer 0: host band [0, 113) leaves"),
 }
 
 
@@ -451,8 +451,10 @@ def test_a_refused_document_exits_with_one_line_and_its_code(capsys, tmp_path, a
             (tmp_path / "FILE.json").write_text(json.dumps({**doc, "plan_path": paths[plan_path]}))
     got, out, err = run_cli(capsys, *[paths.get(a, a) for a in argv])
     assert (got, out) == (code, "")
-    # a refused value is shown cut, however long or deep it is
-    assert len(err.splitlines()) == 1 and len(err) < 400 and err.startswith(start), err[:400]
+    # a refused value is shown cut, however long or deep it is; a failed
+    # validation adds one indented line per problem
+    lines = 1 + start.count("\n  ")
+    assert len(err.splitlines()) == lines and len(err) < 400 and err.startswith(start), err[:400]
 
 
 def test_a_handshake_nested_too_deeply_exits_2_as_a_malformed_handshake(capsys, tmp_path):
@@ -469,7 +471,7 @@ def test_the_handshake_embeds_the_plan_document_as_plan_to_json_writes_it():
     model, plan = runtime._resolve(HOST_CONFIG)
     doc = runtime._session_doc(HOST_CONFIG, model, plan, HOST_CONFIG["seed"])
     assert doc["plan"] == json.loads(plan_to_json(plan))
-    # the handshake bytes built before the plan skipped its JSON round trip
+    # the handshake bytes of protocol 2, whose plan holds only the host bands
     payload = handshake_frame(doc).payload
     assert hashlib.sha256(payload).hexdigest() == (
-        "fd5d4151addbcf74fed6c07e0d317baffeb77f7d2958f598470cdb5681dbd5b0")
+        "5586e1da4f0a4348c0ea5ae57eb657fd43519f29cfac1fce750127879c6bcaa7")

@@ -3,10 +3,14 @@
 The digests were recorded once, from the code before the schedule was
 compiled into one op list, and are never re-recorded: a refactor that
 changes one byte of these outputs fails here, where the approximate
-makespan checks elsewhere would let it through.
+makespan checks elsewhere would let it through. The plan digests are of
+each plan's whole derivation (`derived_plan_doc`, the layout plan files
+had until they held only the host bands); the plan files themselves have
+their own pins, recorded when that format began.
 """
 
 import hashlib
+import json
 import math
 
 import pytest
@@ -16,6 +20,7 @@ from halp.models import build_mobilenet_v1, build_vgg16
 from halp.planner import build_plan_mobilenet, build_plan_vgg, plan_to_json
 from halp.selector import ChannelState, Mode, load_catalog, run_reliability
 from halp.simulate import default_timing, fit_vgg_timing, simulate
+from test_planner import derived_plan_doc
 
 # the four plans behind tests/golden: VGG-16 at z1 = 4 and 68, MobileNet 1.0 at 224 and 160
 PINNED = {
@@ -54,7 +59,22 @@ def golden_plan(name):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_plan_json_bytes_pinned(name):
     _, plan = golden_plan(name)
-    assert sha256(plan_to_json(plan)) == PINNED[name][0]
+    assert sha256(json.dumps(derived_plan_doc(plan), indent=2)) == PINNED[name][0]
+
+
+# `plan_to_json` of the same four plans: the model, z1 and each layer's host band
+PLAN_FILES = {
+    "vgg16_z4": "22db7ea21c81cefce1c5101e57b2933d816dc3afadd4f86b94847cfaa543612f",
+    "vgg16_z68": "d133cfff419ca934801700ba938d9ee7fedf91d970e561af87f53174ec92fa54",
+    "mobilenet_1.0_224": "db677c544cc3c4aed3d61e507d5625fd5e8f1f2612dc8b4702cfca7f3581cec1",
+    "mobilenet_1.0_160": "9a9de68a8550464d5a8cb016e50d9945d90c33ce48aebdcd83ad9d8f66af4719",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_FILES))
+def test_plan_file_bytes_pinned(name):
+    _, plan = golden_plan(name)
+    assert sha256(plan_to_json(plan)) == PLAN_FILES[name]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
