@@ -10,6 +10,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 from argparse import Namespace
 
 import pytest
@@ -88,6 +89,10 @@ READERS = {
 _OPTIONS = [(("alpha",), "number", ()), (("rho",), "int", ()), (("base_width",), "count", (-3,)),
             (("classes",), "positive_int", (0, -5))]
 
+# the index of the last layer of each kind of document that holds a plan
+_LAST = {"plan": len(BASES["plan"]["layers"]) - 1,
+         "handshake": len(BASES["handshake"]["plan"]["layers"]) - 1}
+
 # kind of document -> (path, kind, required, wrong values beyond WRONG)
 LEAVES = {
     "plan": [
@@ -99,6 +104,12 @@ LEAVES = {
         (("layers", 0, "host"), "pair", True, ([0, 1, 2],)),
         (("layers", 0, "host", 0), "pair_item", True, (0.0,)),
         (("layers", 0, "host", 1), "pair_item", True, (False,)),
+        # every layer is read by its own path, the last as the first
+        (("layers", _LAST["plan"]), "object", False, ()),
+        (("layers", _LAST["plan"], "host_rows"), "int", True, ()),
+        (("layers", _LAST["plan"], "host"), "pair", True, ([0, 1, 2],)),
+        (("layers", _LAST["plan"], "host", 0), "pair_item", True, (0.0,)),
+        (("layers", _LAST["plan"], "host", 1), "pair_item", True, (False,)),
     ],
     "host_config": [
         (("model",), "string", True, ()),
@@ -120,9 +131,16 @@ LEAVES = {
         *[(path, kind, True, extra) for path, kind, extra in _OPTIONS],
         (("seed",), "count", True, (-1,)),
         (("plan",), "object", True, ()),
+        (("plan", "model"), "string", True, ()),
+        (("plan", "z1"), "int", True, ()),
         (("plan", "layers"), "list", True, ()),
+        (("plan", "layers", 0), "object", False, ()),
         (("plan", "layers", 0, "host_rows"), "int", True, ()),
         (("plan", "layers", 0, "host"), "pair", True, ()),
+        (("plan", "layers", 0, "host", 0), "pair_item", True, (0.0,)),
+        (("plan", "layers", 0, "host", 1), "pair_item", True, (False,)),
+        (("plan", "layers", _LAST["handshake"], "host_rows"), "int", True, ()),
+        (("plan", "layers", _LAST["handshake"], "host"), "pair", True, ([0, 1, 2],)),
     ],
     "catalog": [
         (("entries",), "list", True, ()),
@@ -147,7 +165,7 @@ LEAVES = {
 
 
 def path_name(path):
-    """The test's own spelling of a path: `layers[0].out_ranges`."""
+    """The test's own spelling of a path: `layers[0].host`."""
     return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
 
 
@@ -204,6 +222,33 @@ def test_a_handshake_of_another_protocol_version_is_not_read_further():
     doc["protocol"], doc["seed"] = 1, "x"
     with pytest.raises(runtime.SessionError, match=r"^ed1: handshake protocol 1, this node"):
         runtime.read_handshake(handshake_frame(doc), Role.ED1)
+
+
+# an edit of a handshake's plan that reads -> the start of the problem it makes
+UNFIT_PLANS = {
+    "another_model": (lambda plan: plan.update(model="MobileNet_v1_1.0_160"),
+                      "plan is for model 'MobileNet_v1_1.0_160', not 'MobileNet_v1_0.25_160'"),
+    "another_layer_count": (lambda plan: plan["layers"].pop(),
+                            "plan has 26 layers, model has 27 spatial layers"),
+    "no_ed1_rows": (lambda plan: plan["layers"][0]["host"].__setitem__(0, 0),
+                    "layer 0: host band [0, 41) leaves no rows for a secondary"),
+    "secondary_to_secondary": (lambda plan: plan["layers"][1].update(host=[1, 2]),
+                               "step before layer 1: ed1 -> ed2 rows [1, 39) needs a "),
+}
+
+
+@pytest.mark.parametrize("role", [Role.ED1, Role.ED2])
+@pytest.mark.parametrize("edit", sorted(UNFIT_PLANS))
+def test_a_handshake_whose_plan_does_not_fit_its_model_is_refused_as_such(edit, role):
+    """A plan that reads but does not fit, refused as `read_plan` derives it
+    or as `validate_plan` checks it, fails the secondary with the one
+    problem, not as a malformed handshake."""
+    doc = copy.deepcopy(BASES["handshake"])
+    change, problem = UNFIT_PLANS[edit]
+    change(doc["plan"])
+    refusal = f"^{role.value}: handshake plan does not fit model: {re.escape(problem)}"
+    with pytest.raises(runtime.SessionError, match=refusal):
+        runtime.read_handshake(handshake_frame(doc), role)
 
 
 def test_a_path_names_keys_and_indexes():

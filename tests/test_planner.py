@@ -404,6 +404,34 @@ def test_a_document_whose_host_band_leaves_ed1_no_rows_is_refused():
         plan_from_json(json.dumps(doc), VGG)
 
 
+# a host band [a, b) of a layer of output height h -> one that leaves some node no rows
+BAD_BANDS = {
+    "ed1_empty": lambda a, b, h: (0, b),
+    "ed2_empty": lambda a, b, h: (a, h),
+    "host_empty": lambda a, b, h: (a, a),
+    "reversed": lambda a, b, h: (b, a),
+    "below_the_first_row": lambda a, b, h: (-1, b),
+    "past_the_last_row": lambda a, b, h: (a, h + 1),
+}
+
+
+@pytest.mark.parametrize("band", sorted(BAD_BANDS))
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("name", ["vgg16_z4", "mobilenet_0.25_224"])
+def test_each_band_that_leaves_a_node_no_rows_is_refused_at_its_layer(name, position, band):
+    """`_make_plan`'s `0 < a < b < h` is the one band check: a document
+    with any other band, at any layer, derives no plan."""
+    plan = CATALOG_PLANS[name]
+    layer = {"first": 0, "middle": plan.n_spatial // 2, "last": plan.n_spatial - 1}[position]
+    h = plan.parts[layer].out_height
+    a, b = BAD_BANDS[band](*plan.parts[layer].out_ranges[Role.HOST], h)
+    doc = json.loads(plan_to_json(plan))
+    doc["layers"][layer]["host"] = [a, b]
+    refusal = rf"^layer {layer}: host band \[{a}, {b}\) leaves no rows .*\(output height {h}\)$"
+    with pytest.raises(PlanError, match=refusal):
+        plan_from_json(json.dumps(doc), MODELS[plan.model_name])
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc.update(model="vgg19"), "plan is for model 'vgg19', not 'vgg16'"),
     (lambda doc: doc["layers"].pop(), "plan has 17 layers, model has 18 spatial layers"),

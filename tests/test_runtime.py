@@ -417,9 +417,18 @@ def test_host_rejects_bad_plan_model_pair():
                  {Role.ED1: a, Role.ED2: b}, timeout=0.5)
 
 
-@pytest.mark.parametrize("make_plan", [secondary_to_secondary_plan])
+def _mobilenet_plan(model):
+    """A plan for a model of another name and layer count."""
+    return build_plan_mobilenet(build_mobilenet_v1(0.25, 160, base_width=8, classes=5))
+
+
+@pytest.mark.parametrize("make_plan, problem", [
+    (secondary_to_secondary_plan, "step before layer 1: "),
+    (_mobilenet_plan, "plan is for model 'MobileNet_v1_0.25_160', not 'vgg16'"),
+], ids=["secondary_to_secondary_plan", "another_model"])
 @pytest.mark.parametrize("role", [Role.HOST, Role.ED1, Role.ED2])
-def test_each_node_refuses_a_plan_that_fails_validation_before_it_waits(role, make_plan):
+def test_each_node_refuses_a_plan_that_fails_validation_before_it_waits(role, make_plan,
+                                                                        problem):
     """No node waits for a frame of a plan that fails validation: each
     refuses it at once, naming its role, before it reads a weight."""
     model = build_vgg16(base_width=8, classes=5)
@@ -427,7 +436,8 @@ def test_each_node_refuses_a_plan_that_fails_validation_before_it_waits(role, ma
     a, _ = inproc_pair()
     b, _ = inproc_pair()
     start = time.monotonic()
-    with pytest.raises(SessionError, match=f"^{role.value}: plan does not fit model: step "):
+    with pytest.raises(SessionError,
+                       match=f"^{role.value}: plan does not fit model: {re.escape(problem)}"):
         if role is Role.HOST:
             run_host(model, None, plan, make_input(model, 0), {Role.ED1: a, Role.ED2: b},
                      timeout=5.0)
